@@ -33,7 +33,6 @@ func main() {
 		sizes   = flag.String("sizes", "", "override Figure 13b domain sizes, e.g. 1,50,100,200")
 		grasps  = flag.String("grasp", "", "override GRASP configs, e.g. 1,1;2,10;5,20")
 		workers = flag.Int("workers", 0, "candidate-sweep workers per selection run: 0 = sequential, -1 = all cores")
-		cache   = flag.Bool("cache", false, "memoize oracle evaluations by candidate set")
 		fitWork = flag.Int("fit.workers", 0, "model-fitting pool size (0 = GOMAXPROCS, 1 = sequential)")
 		mcDir   = flag.String("modelcache", "", "persistent model cache directory; repeated runs skip refitting (empty = disabled)")
 		obsF    obs.Flags
@@ -58,7 +57,6 @@ func main() {
 		cfg = experiments.Quick()
 	}
 	cfg.Workers = *workers
-	cfg.CacheOracle = *cache
 	cfg.FitWorkers = *fitWork
 	cfg.ModelCacheDir = *mcDir
 	if *mults != "" {

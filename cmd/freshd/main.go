@@ -9,7 +9,7 @@
 //	freshd -load snapshots/bl-small -timeout 10s -max-inflight 8
 //	freshd -load snapshots/bl-small -obs.dump /var/run/freshd.obs.json -obs.interval 30s
 //	freshd -load snapshots/main -tenant eu=snapshots/eu -tenant us=snapshots/us
-//	freshd -kind bl -tenants.manifest tenants.json -coalesce.window 2ms
+//	freshd -kind bl -tenants.manifest tenants.json
 //
 // One daemon can host many named worlds (tenants): the dataset from
 // -load/-kind is the default tenant, and each -tenant name=snapshot-dir
@@ -90,7 +90,6 @@ func main() {
 		freshStale  = flag.Float64("freshness.stale", 3.0, "GET /v1/freshness stale threshold, as a multiple of each source's fitted update interval")
 		defTenant   = flag.String("default-tenant", "default", "name of the default tenant (the -load/-kind dataset)")
 		manifest    = flag.String("tenants.manifest", "", "JSON tenants manifest adding named worlds (see serve.LoadTenantManifest)")
-		coalesce    = flag.Duration("coalesce.window", 0, "batch window coalescing concurrent identical select/quality requests into one solver pass (0 = 2ms default, negative = in-flight dedupe only)")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Var(&tenants, "tenant", "add a named world: name=snapshot-dir (repeatable)")
@@ -145,7 +144,6 @@ func main() {
 		FreshnessStaleFactor: *freshStale,
 		DefaultTenant:        *defTenant,
 		Tenants:              specs,
-		CoalesceWindow:       *coalesce,
 	})
 	if err != nil {
 		fatal(err)

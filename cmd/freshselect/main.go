@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		kind     = flag.String("kind", "bl", "dataset kind: bl or gdelt")
-		alg      = flag.String("alg", "maxsub", "algorithm: greedy, maxsub or grasp")
+		alg      = flag.String("alg", "maxsub", "algorithm: greedy, maxsub, grasp, lazygreedy (CELF) or budgeted")
 		gainName = flag.String("gain", "linear", "gain function: linear, quad, step or data")
 		metric   = flag.String("metric", "coverage", "quality metric: coverage, local-freshness, global-freshness or accuracy")
 		divisors = flag.String("divisors", "", "comma-separated frequency divisors for varying-frequency selection")
@@ -37,9 +37,6 @@ func main() {
 		kappa    = flag.Int("kappa", 5, "GRASP κ")
 		rounds   = flag.Int("rounds", 20, "GRASP r")
 		workers  = flag.Int("workers", 0, "candidate-sweep workers: 0 = sequential, -1 = all cores")
-		cache    = flag.Bool("cache", false, "memoize oracle evaluations by candidate set")
-		lazy     = flag.Bool("lazy", false, "use lazy (CELF) greedy when -alg greedy and the gain is submodular")
-		spec     = flag.Int("celf.spec", 0, "CELF speculative batch stride per worker: 0 = default (on when -workers > 1), negative = purely lazy")
 		future   = flag.Int("future", 10, "number of future time points of interest")
 		fitWork  = flag.Int("fit.workers", 0, "model-fitting pool size (0 = GOMAXPROCS, 1 = sequential)")
 		mcDir    = flag.String("modelcache", "", "persistent model cache directory; a verified entry skips training (empty = disabled)")
@@ -109,8 +106,7 @@ func main() {
 		fatal(err)
 	}
 	sel, err := prob.Solve(core.Algorithm(*alg), core.SolveOptions{
-		Kappa: *kappa, Rounds: *rounds, Seed: *seed,
-		Workers: *workers, Cache: *cache, Lazy: *lazy, SpecStride: *spec,
+		Kappa: *kappa, Rounds: *rounds, Seed: *seed, Workers: *workers,
 	})
 	if err != nil {
 		fatal(err)

@@ -196,15 +196,20 @@ type Algorithm string
 
 // The implemented algorithms (Section 6.1 plus two extensions).
 const (
-	// Greedy is the greedy baseline of Dong et al.
+	// Greedy is the greedy baseline of Dong et al.: an exact full scan of
+	// every candidate's marginal gain each round.
 	Greedy Algorithm = "greedy"
 	// MaxSub is the submodular local search of Section 5 — Algorithm 1 for
 	// unconstrained problems, Algorithms 2–3 under matroid constraints.
 	MaxSub Algorithm = "maxsub"
 	// GRASP is the randomized multi-start baseline of Dong et al.
 	GRASP Algorithm = "grasp"
-	// LazyGreedy is the CELF-accelerated greedy: identical selections on
-	// submodular objectives with far fewer oracle calls.
+	// LazyGreedy is CELF, the lazy greedy: it re-probes only the top of a
+	// max-heap of stale marginal gains, at a fraction of Greedy's oracle
+	// calls. It selects exactly what Greedy does as long as no float
+	// marginal gain rises between rounds; submodularity guarantees that in
+	// exact arithmetic, but rounding can break it by a few ulps
+	// (DESIGN.md §5d), which is why Greedy stays the full scan.
 	LazyGreedy Algorithm = "lazygreedy"
 	// Budgeted is the cost-benefit greedy for tight βc budgets (ratio
 	// greedy + best-singleton fallback).
@@ -223,20 +228,6 @@ type SolveOptions struct {
 	// goroutines: 0 keeps the sequential path, negative uses all cores.
 	// Results are deterministic and identical at any worker count.
 	Workers int
-	// Cache memoizes oracle evaluations by canonical set for the run.
-	// OracleCalls still reports the algorithm's probe count.
-	Cache bool
-	// Lazy uses the CELF lazy-greedy path for the Greedy algorithm when
-	// the gain function is submodular (where it is exact); otherwise it is
-	// ignored.
-	Lazy bool
-	// SpecStride tunes the CELF path's speculative batched re-evaluation:
-	// when the lazy heap's top is stale, Workers×SpecStride stale entries
-	// are recomputed concurrently before the sequential adoption step. The
-	// selection is byte-identical at any stride — only the probe count
-	// varies. 0 keeps the default (speculate only with Workers > 1);
-	// negative disables speculation. Ignored outside the CELF path.
-	SpecStride int
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -302,15 +293,9 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 	if len(p.ms) > 0 {
 		oracle = matroidOracle{Profit: p.profit, ms: p.ms}
 	}
-	if opt.Cache {
-		oracle = selection.Cached(oracle)
-	}
 	var sopts []selection.Option
 	if opt.Workers != 0 {
 		sopts = append(sopts, selection.Parallel(opt.Workers))
-	}
-	if opt.SpecStride != 0 {
-		sopts = append(sopts, selection.Speculative(opt.SpecStride))
 	}
 	if ctx != nil && ctx != context.Background() {
 		sopts = append(sopts, selection.Context(ctx))
@@ -319,11 +304,7 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 	var res selection.Result
 	switch alg {
 	case Greedy:
-		if opt.Lazy && p.Gain.Submodular() {
-			res = selection.LazyGreedy(oracle, n, sopts...)
-		} else {
-			res = selection.Greedy(oracle, n, sopts...)
-		}
+		res = selection.Greedy(oracle, n, sopts...)
 	case MaxSub:
 		if len(p.ms) > 0 {
 			res = selection.MatroidMax(oracle, n, p.ms, opt.Epsilon, sopts...)

@@ -39,8 +39,6 @@ type Config struct {
 	// goroutines (0 = sequential, negative = all cores); results are
 	// identical at any setting.
 	Workers int
-	// CacheOracle memoizes oracle evaluations by candidate set per run.
-	CacheOracle bool
 	// FitWorkers bounds the model-fitting pool of every training run
 	// (0 = GOMAXPROCS, 1 = sequential); fitted models are byte-identical
 	// at any setting.

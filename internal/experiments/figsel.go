@@ -40,7 +40,7 @@ func Fig12(env *Env) ([]*Table, error) {
 			}
 			sel, err := prob.Solve(core.GRASP, core.SolveOptions{
 				Kappa: 5, Rounds: 20, Seed: env.Cfg.Seed, Epsilon: env.Cfg.Epsilon,
-				Workers: env.Cfg.Workers, Cache: env.Cfg.CacheOracle,
+				Workers: env.Cfg.Workers,
 			})
 			if err != nil {
 				return nil, err

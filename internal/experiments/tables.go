@@ -43,7 +43,6 @@ func (e *Env) solve(prob *core.Problem, spec algoSpec) (*core.Selection, error) 
 		Rounds:  spec.r,
 		Seed:    e.Cfg.Seed,
 		Workers: e.Cfg.Workers,
-		Cache:   e.Cfg.CacheOracle,
 	})
 }
 

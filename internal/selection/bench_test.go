@@ -15,9 +15,9 @@ import (
 // oracle over a generated dataset with ≥64 candidates, comparing the
 // historical sequential path ("seq": full evaluation per probe) against
 // the accelerated ones ("incr": cached-state incremental probes;
-// "incr+cache": plus set-keyed memoization; "parallel+incr": plus fanned
-// sweeps — a no-op on single-core runners). All variants return identical
-// Results; the benchmark measures wall clock only.
+// "parallel+incr": plus fanned sweeps — a no-op on single-core runners).
+// All variants return identical Results; the benchmark measures wall clock
+// only.
 
 type benchEnv struct {
 	profit *gain.Profit
@@ -70,8 +70,7 @@ type fullOracle struct{ p *gain.Profit }
 func (o fullOracle) Value(set []int) float64 { return o.p.Value(set) }
 func (o fullOracle) Feasible(set []int) bool { return o.p.Feasible(set) }
 
-// benchVariants returns oracle factories: the cache variant builds a fresh
-// cache per run so every iteration measures a cold-cache run.
+// benchVariants returns the oracle factory and options of each variant.
 func benchVariants(e *benchEnv) []struct {
 	name   string
 	oracle func() Oracle
@@ -89,7 +88,6 @@ func benchVariants(e *benchEnv) []struct {
 		// weather, keeping the comparison about the code.
 		{"incr", func() Oracle { return e.profit }, nil},
 		{"parallel+incr", func() Oracle { return e.profit }, []Option{Parallel(-1)}},
-		{"incr+cache", func() Oracle { return Cached(e.profit) }, nil},
 	}
 }
 

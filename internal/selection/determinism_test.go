@@ -156,11 +156,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSpeculativeMatchesLazy pins the speculative CELF contract: batched
+// TestSpeculativeMatchesLazy pins the speculative CELF contract on the
+// integer-weighted fixtures, whose values are exact floats: batched
 // concurrent recomputation of stale heap entries never changes what gets
-// selected — Set and Value are byte-identical to the purely lazy run (and
-// so to Greedy) at any worker count and stride — while OracleCalls may
-// only grow, by the speculation margin.
+// selected — Set and Value are byte-identical to the purely lazy run at
+// any worker count and stride — while OracleCalls may only grow, by the
+// speculation margin.
 func TestSpeculativeMatchesLazy(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		o := randomWC(24, seed)
@@ -201,74 +202,12 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestCachedMatchesUncached pins that memoization is invisible to results
-// and call accounting (the counter sits above the cache).
-func TestCachedMatchesUncached(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		plain := randomWC(24, seed)
-		bare := runAll(plain, 24)
-
-		cache := Cached(plain)
-		memo := runAll(cache, 24)
-		requireIdentical(t, "cached", bare, memo)
-		if cache.Hits() == 0 {
-			t.Error("cache never hit across the algorithm suite")
-		}
-
-		// Cached over an incremental oracle, under parallel sweeps.
-		incr := Cached(&incrWC{wcOracle: *plain})
-		all := runAll(incr, 24, Parallel(4), Speculative(-1))
-		requireIdentical(t, "cached+incremental+parallel", bare, all)
-	}
-}
-
 // TestGRASPParallelRace exercises the parallel sweep engine under load for
-// the race detector: many workers, incremental probes, shared cache.
+// the race detector: many workers racing incremental probes.
 func TestGRASPParallelRace(t *testing.T) {
-	o := Cached(&incrWC{wcOracle: *randomWC(32, 9)})
+	o := &incrWC{wcOracle: *randomWC(32, 9)}
 	res := GRASP(o, 32, 4, 8, stats.NewRNG(7), Parallel(8))
 	if len(res.Set) == 0 {
 		t.Fatal("GRASP selected nothing")
-	}
-}
-
-func TestCachedOracleUnit(t *testing.T) {
-	o := randomWC(8, 3)
-	c := Cached(o)
-	if Cached(c) != c {
-		t.Error("Cached should be idempotent")
-	}
-
-	v1 := c.Value([]int{3, 1, 2})
-	if c.Hits() != 0 || c.Misses() != 1 {
-		t.Errorf("after first value: hits=%d misses=%d", c.Hits(), c.Misses())
-	}
-	// Any permutation of the same set is one canonical key.
-	if v2 := c.Value([]int{1, 2, 3}); v2 != v1 {
-		t.Errorf("permuted set value %v != %v", v2, v1)
-	}
-	if c.Hits() != 1 || c.Misses() != 1 || c.Len() != 1 {
-		t.Errorf("after permuted value: hits=%d misses=%d len=%d", c.Hits(), c.Misses(), c.Len())
-	}
-
-	// The add-probe path shares the same memo: probing {3,1,2}∪{0} then
-	// evaluating {0,1,2,3} hits.
-	st := c.BeginAdd([]int{3, 1, 2})
-	va := c.ValueAdd(st, 0)
-	if want := o.Value([]int{0, 1, 2, 3}); va != want {
-		t.Errorf("ValueAdd = %v, want %v", va, want)
-	}
-	if c.Misses() != 2 {
-		t.Errorf("misses = %d, want 2", c.Misses())
-	}
-	if v := c.Value([]int{0, 1, 2, 3}); v != va {
-		t.Errorf("full value %v != memoized add-probe %v", v, va)
-	}
-	if c.Hits() != 2 {
-		t.Errorf("hits = %d, want 2", c.Hits())
-	}
-
-	if c.Unwrap() != Oracle(o) {
-		t.Error("Unwrap should return the inner oracle")
 	}
 }

@@ -12,8 +12,9 @@ import (
 //   - LazyGreedy (CELF): greedy with lazy marginal re-evaluation. For
 //     monotone submodular objectives the marginal gain of a candidate can
 //     only shrink as the solution grows, so a stale upper bound from an
-//     earlier round often suffices to skip re-evaluation. Byte-identical
-//     output to Greedy on submodular objectives, far fewer oracle calls.
+//     earlier round often suffices to skip re-evaluation. Far fewer oracle
+//     calls than Greedy, and the same output whenever the float marginal
+//     gains the oracle returns never rise between rounds (see LazyGreedy).
 //
 //   - BudgetedGreedy: the cost-benefit greedy for a knapsack budget βc
 //     (Definition 3's constraint, which the paper's experiments leave
@@ -35,7 +36,10 @@ type celfEntry struct {
 // celfBefore is the CELF heap order. The invariant that makes lazy
 // evaluation exact (see DESIGN.md): diminishing marginal gains make every
 // stale gain an upper bound on the candidate's current gain, so the true
-// best candidate can never hide below a fresh top. Priority is
+// best candidate can never hide below a fresh top. The invariant is about
+// the float gains the oracle actually returns; where rounding lifts one
+// above its stale bound, lazy evaluation may adopt a near-tie Greedy
+// would not. Priority is
 //
 //	gain desc → round asc → val desc → idx asc
 //
@@ -119,12 +123,17 @@ func (h *celfHeap) push(e celfEntry) {
 
 // LazyGreedy is the CELF-accelerated greedy: plain Greedy's move sequence
 // driven by a max-heap of stale marginal gains instead of a full candidate
-// rescan per round. On monotone submodular objectives (and any objective
-// with diminishing marginal gains, such as profit = submodular gain −
-// additive cost) the result is byte-identical to Greedy — same Set, same
-// Value — at a fraction of the oracle calls; on objectives without
-// diminishing gains it is a heuristic (a stale bound may hide a better
-// candidate). Feasibility must be downward-closed (supersets of an
+// rescan per round. The result is identical to Greedy's — same Set, same
+// Value — at a fraction of the oracle calls whenever the float marginal
+// gains the oracle returns never rise between rounds. Monotone submodular
+// objectives (and profit = submodular gain − additive cost) guarantee that
+// in exact arithmetic, and it holds exactly when values are exact floats,
+// but rounding can break it: a gain that is flat in exact arithmetic may
+// wobble by a few ulps and rise above its stale bound, and LazyGreedy then
+// adopts a near-tie in a different order (DESIGN.md §5d has a reproduced
+// case). Greedy therefore stays the exact full scan. On objectives without
+// diminishing gains LazyGreedy is a heuristic (a stale bound may hide a
+// better candidate). Feasibility must be downward-closed (supersets of an
 // infeasible set stay infeasible — true of the additive budget and of
 // matroid constraints), as rejected candidates are dropped for good.
 //
@@ -133,11 +142,13 @@ func (h *celfHeap) push(e celfEntry) {
 // then re-evaluated either purely lazily — one sequential heap pop at a
 // time — or speculatively in concurrent batches of the top-K stale
 // entries (the Speculative option; on by default with Workers > 1).
-// Adoption is always sequential in Greedy's exact argmax order, so Set
-// and Value are byte-identical to Greedy at any worker count and any
-// speculation stride; OracleCalls is identical on purely lazy runs and
-// may grow by the speculation margin otherwise (reported via the
-// selection.lazygreedy.speculative_{recomputes,wasted} counters).
+// Adoption is always sequential in Greedy's exact argmax order. A purely
+// lazy run is therefore byte-identical at any worker count, OracleCalls
+// included. Speculation refreshes extra stale bounds, so it selects the
+// same Set and Value under the same no-rise condition as the Greedy
+// equivalence, and OracleCalls may grow by the speculation margin
+// (reported via the selection.lazygreedy.speculative_{recomputes,wasted}
+// counters).
 func LazyGreedy(f Oracle, n int, opts ...Option) Result {
 	co, rt := traceRun(f, "lazygreedy")
 	stale := obs.Counter("selection.lazygreedy.stale_recomputes")

@@ -135,25 +135,6 @@ func BenchmarkScaleCELF(b *testing.B) {
 
 var scaleProbeSink float64
 
-// BenchmarkCachedOracleValueAdd pins the CachedOracle probe path: a
-// memoized hit keys by the incremental membership hash and compares by
-// merge-walk, so steady-state probes against a warm cache stay
-// allocation-free (the old canonical-key-string scheme allocated a fresh
-// key per lookup).
-func BenchmarkCachedOracleValueAdd(b *testing.B) {
-	const n = 256
-	c := Cached(&incrWC{wcOracle: *randomWC(n, 5)})
-	st := c.BeginAdd([]int{1, 2, 3})
-	for x := 4; x < n; x++ {
-		c.ValueAdd(st, x) // prime every probed superset
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scaleProbeSink = c.ValueAdd(st, 4+i%(n-4))
-	}
-}
-
 // BenchmarkScaleProbe measures one steady-state incremental probe — the
 // operation CELF and the local searches issue tens of thousands of times
 // per solve — against a warmed set state. Targets: under 2µs and zero

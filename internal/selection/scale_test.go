@@ -25,13 +25,16 @@ func requireSameRun(t *testing.T, label string, want, got Result) {
 }
 
 // TestScaleDeterminism pins the CELF contract at a paper-ish candidate
-// count: LazyGreedy returns exactly plain Greedy's selection — same set,
-// bit-identical value — at worker counts 1/2/4/8, with speculative
-// batched re-evaluation enabled throughout. The purely lazy path
-// (Speculative(-1)) additionally pins OracleCalls: strictly fewer than
-// Greedy's and identical at every worker count; speculative runs may only
-// spend more probes than the lazy run, never select differently. -short
-// trims the instance so the -race run stays cheap.
+// count on an integer-weighted coverage fixture: every value is an exact
+// float, so marginal gains never rise between rounds and LazyGreedy
+// returns exactly plain Greedy's selection — same set, bit-identical
+// value — at worker counts 1/2/4/8, with speculative batched
+// re-evaluation enabled throughout. (Where rounding lifts a gain above
+// its stale bound the two may order near-ties differently; see
+// LazyGreedy.) The purely lazy path (Speculative(-1)) additionally pins
+// OracleCalls: strictly fewer than Greedy's and identical at every worker
+// count; speculative runs may only spend more probes than the lazy run.
+// -short trims the instance so the -race run stays cheap.
 func TestScaleDeterminism(t *testing.T) {
 	n := 1200
 	if testing.Short() {
@@ -159,20 +162,5 @@ func TestSampledNeverWorse(t *testing.T) {
 			requireSameRun(t, "sampled maxsub across workers",
 				ms, MaxSub(o, n, 0.05, Sampled(sample, seed), Parallel(4)))
 		}
-	}
-}
-
-// TestCachedOracleValueAddHitNoAlloc pins the hash-keyed probe path: a
-// memoized ValueAdd hit derives its key incrementally and compares
-// membership by merge-walk, allocating nothing.
-func TestCachedOracleValueAddHitNoAlloc(t *testing.T) {
-	c := Cached(&incrWC{wcOracle: *randomWC(32, 5)})
-	st := c.BeginAdd([]int{1, 2, 3})
-	c.ValueAdd(st, 7) // prime the memo
-	if avg := testing.AllocsPerRun(200, func() { c.ValueAdd(st, 7) }); avg != 0 {
-		t.Errorf("ValueAdd hit allocates %v per op, want 0", avg)
-	}
-	if c.Hits() < 200 {
-		t.Errorf("hits = %d; the probed set should have been memoized", c.Hits())
 	}
 }

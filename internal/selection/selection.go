@@ -65,9 +65,8 @@ type Result struct {
 	// performed: every algorithm counts through a CountingOracle wrapper,
 	// so the count never depends on the oracle implementing one.
 	// Incremental ValueAdd probes count exactly like the full Value
-	// evaluations they replace, and memoization (CachedOracle) sits below
-	// the counter, so the count is identical across the sequential,
-	// parallel, incremental and cached paths.
+	// evaluations they replace, so the count is identical across the
+	// sequential, parallel and incremental paths.
 	OracleCalls int
 	// Duration is the wall-clock time of the run.
 	Duration time.Duration

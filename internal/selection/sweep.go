@@ -106,11 +106,11 @@ const defaultSpecStride = 16
 // Speculative sets LazyGreedy's speculative batch stride: when the CELF
 // heap top is stale, the top Workers×stride stale entries are popped and
 // recomputed concurrently, then reinserted and adopted sequentially in
-// Greedy's exact argmax order. Set and Value stay byte-identical to
-// sequential Greedy/LazyGreedy at any stride and worker count — only
-// OracleCalls may grow, by the speculation margin (recomputes a purely
-// lazy run would have skipped), reported via the
-// selection.lazygreedy.speculative_{recomputes,wasted} counters.
+// Greedy's exact argmax order. Set and Value match the purely lazy run at
+// any stride and worker count whenever marginal gains never rise between
+// rounds (see LazyGreedy) — only OracleCalls may grow, by the speculation
+// margin (recomputes a purely lazy run would have skipped), reported via
+// the selection.lazygreedy.speculative_{recomputes,wasted} counters.
 //
 // stride 0 restores the default (speculate with defaultSpecStride when
 // Workers > 1, stay purely lazy otherwise); a negative stride disables

@@ -3,36 +3,30 @@ package serve
 import (
 	"context"
 	"sync"
-	"time"
 
 	"freshsource/internal/obs"
 )
 
-// coalescer deduplicates identical-key work across concurrent requests and
-// batches near-simultaneous arrivals into one solver pass.
-//
-// The base layer is in-flight dedupe (the classic singleflight shape): the
-// first request for a key becomes the *leader* and runs the computation;
-// every request for the same key that arrives before the leader publishes
-// becomes a *follower* and receives the leader's bytes. On top of that sits
-// the batch window: a positive window makes the leader hold the flight open
-// for that long before solving, so requests landing within the window — not
-// just while the solve is already running — collapse into the same pass.
+// coalescer deduplicates identical-key work that is already in flight (the
+// classic singleflight shape): the first request for a key becomes the
+// *leader* and runs the computation at once; every request for the same key
+// that arrives before the leader publishes becomes a *follower* and
+// receives the leader's bytes. Nothing is held open waiting for company: a
+// leader never delays its own computation, so a request no one else asks
+// for pays nothing for coalescing.
 //
 // Exactness: followers are only ever answered with bytes the leader
 // computed for the *identical canonical key* (which includes the serving
 // generation id), and the computation itself is deterministic for a fixed
 // (generation, key). A coalesced response is therefore byte-identical to
-// the response the follower would have computed alone, at any window and
-// any concurrency — the window changes scheduling, never content. This is
-// pinned by TestCoalescedByteIdentical.
+// the response the follower would have computed alone, at any concurrency —
+// coalescing changes scheduling, never content. This is pinned by
+// TestCoalescedByteIdentical.
 //
-// A window of zero keeps pure in-flight dedupe (no hold); the flight is
-// removed before publication either way, so requests arriving after the
+// The flight is removed before publication, so requests arriving after the
 // leader publishes start a fresh flight and observe fresh state.
 type coalescer struct {
-	window time.Duration
-	scope  string // metric scope, e.g. "serve.tenant.acme.coalesce.select"
+	scope string // metric scope, e.g. "serve.tenant.acme.coalesce.select"
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -46,20 +40,16 @@ type flight struct {
 	body []byte
 }
 
-func newCoalescer(window time.Duration, scope string) *coalescer {
-	if window < 0 {
-		window = 0
-	}
-	return &coalescer{window: window, scope: scope, flights: make(map[string]*flight)}
+func newCoalescer(scope string) *coalescer {
+	return &coalescer{scope: scope, flights: make(map[string]*flight)}
 }
 
 // Do returns the coalesced response for key. The leader runs compute
-// exactly once (after holding the batch window open); followers wait for
-// the leader's publication, bounded by their own ctx — a follower whose
-// deadline fires gets ctx.Err() while the leader's computation continues
-// for everyone else. compute must not depend on the calling request's
-// context (the server runs it under a detached, timeout-bounded context for
-// exactly this reason).
+// exactly once; followers wait for the leader's publication, bounded by
+// their own ctx — a follower whose deadline fires gets ctx.Err() while the
+// leader's computation continues for everyone else. compute must not
+// depend on the calling request's context (the server runs it under a
+// detached, timeout-bounded context for exactly this reason).
 func (c *coalescer) Do(ctx context.Context, key string, compute func() (int, []byte)) (int, []byte, error) {
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
@@ -76,19 +66,6 @@ func (c *coalescer) Do(ctx context.Context, key string, compute func() (int, []b
 	c.flights[key] = f
 	c.mu.Unlock()
 	obs.Counter(c.scope + ".leaders").Inc()
-
-	if c.window > 0 {
-		// Collect phase: hold the flight open so concurrent identical
-		// requests join this pass instead of racing it. A fired caller ctx
-		// only shortens the hold — the computation still runs, because
-		// followers may already be waiting on this flight.
-		t := time.NewTimer(c.window)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-		}
-	}
 
 	f.code, f.body = compute()
 	c.mu.Lock()

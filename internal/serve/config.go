@@ -101,14 +101,6 @@ type Config struct {
 	// LoadTenantManifest for the manifest file format.
 	Tenants []TenantSpec
 
-	// CoalesceWindow is the batch window of the per-tenant request
-	// coalescers on /v1/select and /v1/quality: concurrent identical
-	// requests inside one window are answered from a single solver pass
-	// (byte-identical to the uncoalesced path — the window changes
-	// scheduling, never content). 0 defaults to 2ms; negative disables the
-	// hold, leaving pure in-flight dedupe.
-	CoalesceWindow time.Duration
-
 	// FreshnessWarnFactor and FreshnessStaleFactor are the GET /v1/freshness
 	// classification thresholds, as multiples of each source's fitted mean
 	// update interval ūS: a source whose age exceeds warn·ūS + capture-lag
@@ -143,12 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTenant == "" {
 		c.DefaultTenant = "default"
-	}
-	switch {
-	case c.CoalesceWindow == 0:
-		c.CoalesceWindow = 2 * time.Millisecond
-	case c.CoalesceWindow < 0:
-		c.CoalesceWindow = 0
 	}
 	if c.FreshnessWarnFactor <= 0 {
 		c.FreshnessWarnFactor = 1.5

@@ -20,6 +20,11 @@ import (
 // SelectRequest is the body of POST /v1/select. Zero values take the
 // freshselect defaults, so `{}` is a valid request (maxsub over the linear
 // coverage gain, unconstrained, ten spread future ticks).
+//
+// A request names what to solve, never how: the server runs each solve
+// sequentially (concurrency comes from concurrent requests under
+// admission), so execution knobs are not fields and the strict decoder
+// rejects them like any other unknown field.
 type SelectRequest struct {
 	Algorithm string  `json:"algorithm,omitempty"` // greedy|maxsub|grasp|lazygreedy|budgeted
 	Gain      string  `json:"gain,omitempty"`      // linear|quad|step|data
@@ -29,9 +34,6 @@ type SelectRequest struct {
 	Kappa     int     `json:"kappa,omitempty"`     // GRASP κ
 	Rounds    int     `json:"rounds,omitempty"`    // GRASP r
 	Seed      int64   `json:"seed,omitempty"`      // GRASP seed
-	Workers   int     `json:"workers,omitempty"`   // sweep workers; 0 sequential, -1 all cores
-	Cache     bool    `json:"cache,omitempty"`     // memoize oracle evaluations
-	Lazy      bool    `json:"lazy,omitempty"`      // CELF path for greedy
 	Future    int     `json:"future,omitempty"`    // |Tf| when Ticks is empty
 	Ticks     []int64 `json:"ticks,omitempty"`     // explicit Tf (overrides Future)
 }
@@ -317,7 +319,6 @@ func (s *Server) computeSelect(gen *generation, req SelectRequest, ticks []timel
 	}
 	sel, err := prob.SolveContext(ctx, core.Algorithm(req.Algorithm), core.SolveOptions{
 		Kappa: req.Kappa, Rounds: req.Rounds, Seed: req.Seed,
-		Workers: req.Workers, Cache: req.Cache, Lazy: req.Lazy,
 	})
 	if err != nil {
 		return solveErrorBody(err)

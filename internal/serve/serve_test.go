@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -282,6 +283,34 @@ func TestBadRequests(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/select", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET select: %d, want 405", rec.Code)
+	}
+}
+
+// TestExecutionFieldsRejected: a request cannot choose how the server
+// solves. Execution knobs are unknown fields — 400 naming the field — and
+// in particular a huge worker count spawns nothing.
+func TestExecutionFieldsRejected(t *testing.T) {
+	srv := newServer(t, Config{})
+	defer srv.Close()
+	before := runtime.NumGoroutine()
+	cases := []struct{ field, body string }{
+		{"workers", `{"algorithm":"greedy","workers":10000000}`},
+		{"cache", `{"algorithm":"greedy","cache":true}`},
+		{"lazy", `{"algorithm":"greedy","lazy":true}`},
+	}
+	for _, tc := range cases {
+		rec := postJSON(t, srv.Handler(), "/v1/select", tc.body)
+		var resp errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: error body %q: %v", tc.field, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(resp.Error, `"`+tc.field+`"`) {
+			t.Errorf("%s: %d %q, want 400 naming the field", tc.field, rec.Code, resp.Error)
+		}
+	}
+	const slack = 4
+	if after := runtime.NumGoroutine(); after > before+slack {
+		t.Errorf("goroutines %d → %d after rejected requests", before, after)
 	}
 }
 

@@ -205,8 +205,8 @@ func (s *Server) newTenant(spec TenantSpec, def bool) (*Tenant, error) {
 			return nil, fmt.Errorf("serve: tenant %q: model cache: %w", spec.Name, err)
 		}
 	}
-	t.coSelect = newCoalescer(s.cfg.CoalesceWindow, t.metric("coalesce.select"))
-	t.coQuality = newCoalescer(s.cfg.CoalesceWindow, t.metric("coalesce.quality"))
+	t.coSelect = newCoalescer(t.metric("coalesce.select"))
+	t.coQuality = newCoalescer(t.metric("coalesce.quality"))
 
 	gen, err := t.buildGeneration(context.Background(), 1, d)
 	if err != nil {
