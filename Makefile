@@ -44,13 +44,14 @@ SERVEBENCH_ARGS = -spawn -duration 5s -rps 80 -concurrency 8 -seed 1 \
 
 # GOMAXPROCS for the committed multi-core bench profile. 2 keeps the
 # profile reproducible on small CI runners while still exercising the
-# parallel sweep paths (GOMAXPROCS may exceed physical cores).
+# parallel sweep paths. The host needs at least 2 CPUs: with one, extra
+# procs only time-slice a single core, so bench-multicore refuses to
+# record such a profile.
 MULTICORE_GOMAXPROCS ?= 2
 
 # Time tolerance for the multi-core gate. Looser than BENCH_TOLERANCE
-# because the profile may be recorded on a box where GOMAXPROCS exceeds
-# physical cores — thread contention plus host CPU steal makes wall
-# times swing 2x run-to-run there. The gate targets order-of-magnitude
+# because shared runners suffer host CPU steal, which swings parallel wall
+# times far more than sequential ones. The gate targets order-of-magnitude
 # parallel-path regressions (like SERVE_TOLERANCE); precise timing
 # regressions stay gated by bench-check, and allocs/op — deterministic
 # regardless of contention — keep the tight BENCH_ALLOC_TOLERANCE.
@@ -134,7 +135,7 @@ BENCH_PKGS = ./internal/selection ./internal/estimate ./internal/modelcache
 bench:
 	BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -timeout 30m \
 		$(BENCH_PKGS) | tee /tmp/bench_selection.out
-	$(GO) run ./cmd/benchjson -out BENCH_selection.json < /tmp/bench_selection.out
+	$(GO) run $(LDFLAGS) ./cmd/benchjson -out BENCH_selection.json < /tmp/bench_selection.out
 
 # One-iteration pass over the same benchmarks: CI's compile-and-run gate.
 bench-smoke:
@@ -150,7 +151,7 @@ bench-smoke:
 bench-check:
 	BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -timeout 30m \
 		$(BENCH_PKGS) | \
-		$(GO) run ./cmd/benchjson -compare BENCH_selection.json \
+		$(GO) run $(LDFLAGS) ./cmd/benchjson -compare BENCH_selection.json \
 			-tolerance $(BENCH_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE)
 
 # Multi-core bench profile → BENCH_multicore.json: the same tracked
@@ -160,14 +161,19 @@ bench-check:
 # where benchjson waives the parallel-variant gate entirely). Two recipe
 # lines on purpose: an env prefix only covers the first command of a
 # pipeline, so the bench run and the benchjson reduction each carry their
-# own GOMAXPROCS.
+# own GOMAXPROCS. The profile is checked in /tmp and only then moved over
+# BENCH_multicore.json, so a run at GOMAXPROCS=1 or on a 1-CPU host never
+# replaces the committed baseline.
 bench-multicore:
 	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime=$(MULTICORE_BENCHTIME) -timeout 30m \
 		$(BENCH_PKGS) > /tmp/bench_multicore.out
-	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) $(GO) run ./cmd/benchjson -out BENCH_multicore.json \
+	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) $(GO) run $(LDFLAGS) ./cmd/benchjson -out /tmp/bench_multicore.json \
 		-require-faster '$(MULTICORE_FASTER)' < /tmp/bench_multicore.out
-	@grep -q '"gomaxprocs": "1"' BENCH_multicore.json && \
+	@grep -q '"gomaxprocs": "1"' /tmp/bench_multicore.json && \
 		{ echo "bench-multicore: profile recorded GOMAXPROCS=1; want >1"; exit 1; } || true
+	@grep -q '"numcpu": "1"' /tmp/bench_multicore.json && \
+		{ echo "bench-multicore: profile recorded on 1 CPU; want numcpu >= 2"; exit 1; } || true
+	mv /tmp/bench_multicore.json BENCH_multicore.json
 
 # Multi-core regression gate: fresh GOMAXPROCS-pinned run diffed against
 # the committed BENCH_multicore.json, parallel-variant speedup gate
@@ -175,7 +181,7 @@ bench-multicore:
 bench-multicore-check:
 	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime=$(MULTICORE_BENCHTIME) -timeout 30m \
 		$(BENCH_PKGS) > /tmp/bench_multicore.out
-	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) $(GO) run ./cmd/benchjson -compare BENCH_multicore.json \
+	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) $(GO) run $(LDFLAGS) ./cmd/benchjson -compare BENCH_multicore.json \
 		-tolerance $(MULTICORE_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE) \
 		-require-faster '$(MULTICORE_FASTER)' < /tmp/bench_multicore.out
 
@@ -203,7 +209,7 @@ servebench-smoke:
 # benchmarks.
 servebench-check:
 	$(GO) run $(LDFLAGS) ./cmd/freshbench $(SERVEBENCH_ARGS) | \
-		$(GO) run ./cmd/benchjson -compare BENCH_serving.json -tolerance $(SERVE_TOLERANCE)
+		$(GO) run $(LDFLAGS) ./cmd/benchjson -compare BENCH_serving.json -tolerance $(SERVE_TOLERANCE)
 
 # The benchmark harness (freshperf/) is a Go module of its own that builds
 # against this checkout through a replace directive, so build/vet/test

@@ -11,15 +11,18 @@
 // committed report and exits non-zero when any shared benchmark slowed
 // down by more than -tolerance, or grew its allocs/op past
 // -alloc-tolerance (zero-alloc baselines are pinned exactly) — CI's
-// bench-regression gate. The emitted context records gomaxprocs/numcpu;
-// on single-core runs the gate skips parallel-variant regressions with a
-// logged note, since fan-out cannot pay off without cores.
+// bench-regression gate. The emitted context records gomaxprocs, numcpu
+// and the commit stamped into the binary (the Makefile passes its
+// -ldflags to every benchjson run); on single-core runs the gate skips
+// parallel-variant regressions with a logged note, since fan-out cannot
+// pay off without cores.
 //
 // With -require-faster "Fast<Slow,..." it additionally asserts speedups
 // exist: each Fast benchmark's ns/op must beat its Slow partner's in this
-// run. Applied whenever GOMAXPROCS > 1 (the multi-core profile), with or
-// without -compare, and never waived for numcpu=1 — this is the gate that
-// keeps the parallel CELF path genuinely faster than sequential.
+// run. Applied whenever GOMAXPROCS > 1, with or without -compare — this
+// is the gate that keeps the parallel CELF path genuinely faster than
+// sequential. A profile only measures parallel speedup on at least two
+// CPUs; `make bench-multicore` refuses to record one with numcpu < 2.
 //
 // Usage:
 //
@@ -37,6 +40,7 @@ import (
 	"strconv"
 
 	"freshsource/internal/benchfmt"
+	"freshsource/internal/version"
 )
 
 func main() {
@@ -58,6 +62,7 @@ func main() {
 	// that just ran the benchmarks, so this describes the same host).
 	rep.Context["gomaxprocs"] = strconv.Itoa(runtime.GOMAXPROCS(0))
 	rep.Context["numcpu"] = strconv.Itoa(runtime.NumCPU())
+	rep.Context["commit"] = version.Commit
 
 	if *requireFaster != "" {
 		pairs, err := benchfmt.ParseFasterPairs(*requireFaster)
@@ -65,10 +70,10 @@ func main() {
 			fatal(err)
 		}
 		// The check keys on gomaxprocs alone: at GOMAXPROCS=1 the runtime
-		// cannot overlap sweeps so "parallel beats sequential" is vacuously
-		// unachievable, but numcpu=1 with GOMAXPROCS>1 still overlaps on
-		// oracle math between scheduler slices — the committed multi-core
-		// profile proves speedups there, so the gate is NOT waived for it.
+		// cannot overlap sweeps, so "parallel beats sequential" is vacuously
+		// unachievable. A numcpu=1 run with GOMAXPROCS>1 only time-slices
+		// one core and proves nothing either way; it is still checked, and
+		// `make bench-multicore` refuses to record its profile.
 		if rep.Context["gomaxprocs"] == "1" {
 			fmt.Fprintf(os.Stderr, "benchjson: note: -require-faster skipped (GOMAXPROCS=1)\n")
 		} else {

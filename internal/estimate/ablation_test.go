@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestNoAlignmentOvershootsForSlowSources(t *testing.T) {
 	sp := defaultSpec(w.Points(), 0.9)
 	sp.UpdateInterval = 21
 	src := mkSource(t, w, 0, sp, 31)
-	e, err := New(w, []*source.Source{src}, 300, 440, nil)
+	e, err := NewFit(context.Background(), w, []*source.Source{src}, 300, 440, nil, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestNoAlignmentOvershootsForSlowSources(t *testing.T) {
 func TestSetLinearOmegaMatchesEq14(t *testing.T) {
 	w := testWorld(t)
 	src := mkSource(t, w, 0, defaultSpec(w.Points(), 0.9), 32)
-	e, err := New(w, []*source.Source{src}, 300, 440, nil)
+	e, err := NewFit(context.Background(), w, []*source.Source{src}, 300, 440, nil, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

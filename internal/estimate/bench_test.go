@@ -60,7 +60,7 @@ func getBenchEstimator(b *testing.B) *Estimator {
 		return benchEst
 	}
 	w, srcs := getBenchFixture(b)
-	e, err := New(w, srcs, 300, 490, nil)
+	e, err := NewFit(context.Background(), w, srcs, 300, 490, nil, FitOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,19 +39,8 @@ func (e *Estimator) AddColdStartCandidate(w *world.World, s *source.Source, k fl
 		return 0, fmt.Errorf("estimate: profiling cold-start source: %w", err)
 	}
 
-	covered := make(map[world.DomainPoint]bool, len(s.Spec().Points))
-	for _, p := range s.Spec().Points {
-		covered[p] = true
-	}
 	maxDelay := int(e.MaxT - e.T0 + 1)
-	c := &Candidate{
-		Profile:     prof,
-		SourceIndex: e.maxSourceIndex() + 1,
-		covers:      make([]bool, len(e.points)),
-	}
-	for j, p := range e.points {
-		c.covers[j] = covered[p]
-	}
+	c := candidateFromProfile(prof, s, e.maxSourceIndex()+1, e.points, maxDelay)
 
 	// Effective sample size: the exact (uncensored) delay observations. A
 	// newcomer mostly produces censored observations for entities it never
@@ -63,9 +52,9 @@ func (e *Estimator) AddColdStartCandidate(w *world.World, s *source.Source, k fl
 			n++
 		}
 	}
-	c.gi = blend(tabulate(prof.Gi, maxDelay), e.pooledTable(func(x *Candidate) []float64 { return x.gi }, maxDelay), n, k)
-	c.gd = blend(tabulate(prof.Gd, maxDelay), e.pooledTable(func(x *Candidate) []float64 { return x.gd }, maxDelay), n, k)
-	c.gu = blend(tabulate(prof.Gu, maxDelay), e.pooledTable(func(x *Candidate) []float64 { return x.gu }, maxDelay), n, k)
+	blend(c.gi, e.pooledTable(func(x *Candidate) []float64 { return x.gi }, maxDelay), n, k)
+	blend(c.gd, e.pooledTable(func(x *Candidate) []float64 { return x.gd }, maxDelay), n, k)
+	blend(c.gu, e.pooledTable(func(x *Candidate) []float64 { return x.gu }, maxDelay), n, k)
 
 	// A newcomer with no usable coverage statistic inherits the fleet
 	// average for the Cov(S,τ) factor of Eq. 10–11.
@@ -120,16 +109,13 @@ func (e *Estimator) pooledTable(get func(*Candidate) []float64, maxDelay int) []
 	return out
 }
 
-// blend mixes an observed table with a prior table at n observations vs k
-// pseudo-observations.
-func blend(obs, prior []float64, n, k float64) []float64 {
+// blend mixes an observed table, in place, with a prior table at n
+// observations vs k pseudo-observations.
+func blend(tab, prior []float64, n, k float64) {
 	if n+k == 0 {
-		return obs
+		return
 	}
-	out := make([]float64, len(obs))
-	for d := range obs {
-		p := prior[d]
-		out[d] = (n*obs[d] + k*p) / (n + k)
+	for d := range tab {
+		tab[d] = (n*tab[d] + k*prior[d]) / (n + k)
 	}
-	return out
 }

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,7 +61,7 @@ func buildEstimator(t *testing.T, w *world.World) *Estimator {
 		mkSource(t, w, 2, defaultSpec([]world.DomainPoint{p0}, 0.8), 3),
 		mkSource(t, w, 3, defaultSpec([]world.DomainPoint{p1}, 0.8), 4),
 	}
-	e, err := New(w, srcs, 300, 440, nil)
+	e, err := NewFit(context.Background(), w, srcs, 300, 440, nil, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestExpectedOmegaTracksWorld(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	w := testWorld(t)
-	if _, err := New(w, nil, 300, 400, nil); err == nil {
+	if _, err := NewFit(context.Background(), w, nil, 300, 400, nil, FitOptions{}); err == nil {
 		t.Error("want error for no sources")
 	}
 	s := mkSource(t, w, 0, defaultSpec(w.Points(), 1), 1)
-	if _, err := New(w, []*source.Source{s}, 300, 300, nil); err == nil {
+	if _, err := NewFit(context.Background(), w, []*source.Source{s}, 300, 300, nil, FitOptions{}); err == nil {
 		t.Error("want error for maxT <= t0")
 	}
 }
@@ -192,7 +193,7 @@ func TestEstimateTracksGroundTruth(t *testing.T) {
 		mkSource(t, w, 2, defaultSpec([]world.DomainPoint{p0}, 0.8), 3),
 		mkSource(t, w, 3, defaultSpec([]world.DomainPoint{p1}, 0.8), 4),
 	}
-	e, err := New(w, srcs, 300, 440, nil)
+	e, err := NewFit(context.Background(), w, srcs, 300, 440, nil, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestDomainRestrictedEstimator(t *testing.T) {
 		mkSource(t, w, 0, defaultSpec(w.Points(), 0.9), 1),
 		mkSource(t, w, 1, defaultSpec([]world.DomainPoint{p0}, 0.8), 3),
 	}
-	e, err := New(w, srcs, 300, 440, []world.DomainPoint{p0})
+	e, err := NewFit(context.Background(), w, srcs, 300, 440, []world.DomainPoint{p0}, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

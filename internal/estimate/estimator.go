@@ -92,91 +92,100 @@ type Estimator struct {
 	scratch sync.Pool
 }
 
-// New builds an estimator for the query domain pts (nil = every point of
-// the world): it fits one world model per point and one profile per source,
-// all on the training window [0, t0]. maxT bounds the future ticks that may
-// be queried.
-func New(w *world.World, srcs []*source.Source, t0, maxT timeline.Tick, pts []world.DomainPoint) (*Estimator, error) {
-	return NewContext(context.Background(), w, srcs, t0, maxT, pts)
-}
-
-// NewContext is New with cancellation: a fired context stops launching
-// model and profile fits and returns ctx.Err() once the in-flight fits
-// drain. Long-running servers use it to bound on-demand refits by the
-// requesting call's deadline.
-func NewContext(ctx context.Context, w *world.World, srcs []*source.Source, t0, maxT timeline.Tick, pts []world.DomainPoint) (*Estimator, error) {
-	return NewFit(ctx, w, srcs, t0, maxT, pts, FitOptions{})
-}
-
-// NewFit is the configurable fit pipeline behind New and NewContext: the
-// per-subdomain world-model MLEs (Eq. 6–7), per-source Kaplan–Meier
-// effectiveness fits (Eq. 8) and per-candidate signature/tabulation work
-// run across a bounded worker pool (see FitOptions.Workers). Results land
-// in pre-sized slots, so the fitted Estimator is byte-identical to a
-// sequential build at any worker count.
+// NewFit builds an estimator for the query domain pts (nil = every point
+// of the world): it fits one world model per point (Eq. 6–7) and one
+// profile per source (Eq. 8), all on the training window [0, t0]; maxT
+// bounds the future ticks that may be queried. Each source's profile comes
+// from a fresh profile.Tracker at t0 that is built and dropped inside the
+// candidate sweep, so no source's capture or state maps outlive its
+// candidate. Both stages run across a bounded worker pool (see
+// FitOptions.Workers); results land in pre-sized slots, so the fitted
+// Estimator is byte-identical to a sequential build at any worker count. A
+// fired context stops launching fits and returns its error once the
+// in-flight fits drain.
 func NewFit(ctx context.Context, w *world.World, srcs []*source.Source, t0, maxT timeline.Tick, pts []world.DomainPoint, opt FitOptions) (*Estimator, error) {
+	f, err := newFitSpec(w, srcs, t0, maxT, pts, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer obs.Start("estimate.fit.seconds").End()
+	return f.fit(ctx, t0, func(i int) (*profile.Profile, error) {
+		tr, err := profile.NewTracker(w, srcs[i], t0, f.dom)
+		if err != nil {
+			return nil, err
+		}
+		return tr.Build(), nil
+	})
+}
+
+// fitSpec holds the validated inputs shared by NewFit and the streaming
+// Accumulator: the world, the sources, the query domain (nil resolved to
+// every world point, and compiled once into the Domain every tracker of the
+// fit shares read-only), the future bound and the pool size.
+type fitSpec struct {
+	w       *world.World
+	srcs    []*source.Source
+	pts     []world.DomainPoint
+	dom     *profile.Domain
+	maxT    timeline.Tick
+	workers int
+}
+
+// newFitSpec runs the argument checks every fit shares: at least one
+// source, maxT beyond t0, and nil pts meaning every world point.
+func newFitSpec(w *world.World, srcs []*source.Source, t0, maxT timeline.Tick, pts []world.DomainPoint, opt FitOptions) (fitSpec, error) {
 	if len(srcs) == 0 {
-		return nil, errors.New("estimate: no sources")
+		return fitSpec{}, errors.New("estimate: no sources")
 	}
 	if maxT <= t0 {
-		return nil, fmt.Errorf("estimate: maxT %d must exceed t0 %d", maxT, t0)
+		return fitSpec{}, fmt.Errorf("estimate: maxT %d must exceed t0 %d", maxT, t0)
 	}
 	if pts == nil {
 		pts = w.Points()
 	}
-	e := &Estimator{T0: t0, MaxT: maxT, points: pts}
+	return fitSpec{w: w, srcs: srcs, pts: pts, dom: profile.NewDomain(pts), maxT: maxT, workers: opt.workers()}, nil
+}
+
+// fit is the one estimator pipeline: the per-point world models at t0,
+// then one candidate per source from profileOf(i), then the table arena.
+// NewFit passes a fresh tracker per source; Accumulator.Build passes its
+// maintained trackers.
+func (f *fitSpec) fit(ctx context.Context, t0 timeline.Tick, profileOf func(i int) (*profile.Profile, error)) (*Estimator, error) {
+	e := &Estimator{T0: t0, MaxT: f.maxT, points: f.pts}
 	e.allocModelSlots()
-	workers := opt.workers()
-	obs.Gauge("estimate.fit.workers").Set(float64(workers))
-	defer obs.Start("estimate.fit.seconds").End()
+	obs.Gauge("estimate.fit.workers").Set(float64(f.workers))
 
 	// World models per query point are independent; fan them across the
 	// pool.
 	fitSpan := obs.Start("estimate.fit.models.seconds")
-	{
-		errs := make([]error, len(pts))
-		fitSweep(ctx, workers, len(pts), func(j int) {
-			m, err := FitWorldPoint(w, t0, pts[j])
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			e.setModel(j, m, w)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("estimate: model fit canceled: %w", err)
+	if err := fitSweep(ctx, f.workers, len(f.pts), func(j int) error {
+		m, err := FitWorldPoint(f.w, t0, f.pts[j])
+		if err != nil {
+			return err
 		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+		e.setModel(j, m, f.w)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	fitSpan.EndWithCount(obs.Counter("estimate.fit.points"), int64(len(pts)))
+	fitSpan.EndWithCount(obs.Counter("estimate.fit.points"), int64(len(f.pts)))
 
 	// Profiles are independent; fan them across the same pool. Results
 	// land at fixed indices, so the estimator stays deterministic.
 	profSpan := obs.Start("estimate.fit.profiles.seconds")
-	maxDelay := int(maxT - t0 + 1)
-	e.cands = make([]*Candidate, len(srcs))
-	errs := make([]error, len(srcs))
-	fitSweep(ctx, workers, len(srcs), func(i int) {
-		c, err := buildCandidate(w, srcs[i], i, t0, pts, maxDelay)
+	maxDelay := int(f.maxT - t0 + 1)
+	e.cands = make([]*Candidate, len(f.srcs))
+	if err := fitSweep(ctx, f.workers, len(f.srcs), func(i int) error {
+		prof, err := profileOf(i)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		e.cands[i] = c
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("estimate: profile fit canceled: %w", err)
+		e.cands[i] = candidateFromProfile(prof, f.srcs[i], i, f.pts, maxDelay)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	profSpan.EndWithCount(obs.Counter("estimate.fit.profiles"), int64(len(srcs)))
+	profSpan.EndWithCount(obs.Counter("estimate.fit.profiles"), int64(len(f.srcs)))
 	e.compactTables()
 	return e, nil
 }
@@ -264,20 +273,10 @@ func (e *Estimator) setModel(j int, m *WorldModel, w *world.World) {
 	e.lamUpd[j] = lu
 }
 
-// buildCandidate profiles one source and tabulates its effectiveness
-// tables — the per-candidate unit of the fit pipeline.
-func buildCandidate(w *world.World, s *source.Source, i int, t0 timeline.Tick, pts []world.DomainPoint, maxDelay int) (*Candidate, error) {
-	prof, err := profile.Build(w, s, t0, pts)
-	if err != nil {
-		return nil, err
-	}
-	return candidateFromProfile(prof, s, i, pts, maxDelay), nil
-}
-
 // candidateFromProfile wraps a fitted profile into a Candidate: coverage
 // flags from the source spec plus the tabulated effectiveness tables. It is
-// shared by the cold fit pipeline and the incremental Accumulator, so both
-// derive candidates through identical code.
+// the one candidate derivation, shared by the fit pipeline and
+// AddColdStartCandidate.
 func candidateFromProfile(prof *profile.Profile, s *source.Source, i int, pts []world.DomainPoint, maxDelay int) *Candidate {
 	covered := make(map[world.DomainPoint]bool, len(s.Spec().Points))
 	for _, p := range s.Spec().Points {

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,7 @@ import (
 	"freshsource/internal/obs"
 )
 
-// FitOptions tunes the model-fitting pipeline of NewFit.
+// FitOptions tunes the model-fitting pipeline of NewFit and NewAccumulator.
 type FitOptions struct {
 	// Workers bounds the fit pool shared by the per-subdomain world-model
 	// stage and the per-source profile stage: 0 uses GOMAXPROCS, 1 fits
@@ -38,42 +39,53 @@ const fitStride = 8
 // indexed by i — never to shared state — which makes the sweep's result
 // independent of evaluation order. With one worker the fits run inline in
 // index order. A canceled context stops the sweep early, leaving the
-// remaining slots untouched; callers must check ctx before reducing the
-// outputs.
-func fitSweep(ctx context.Context, w, m int, eval func(i int)) {
+// remaining slots untouched, and the sweep returns the wrapped ctx.Err();
+// otherwise it returns the lowest-index eval error, so the reported error
+// is independent of the worker count too.
+func fitSweep(ctx context.Context, w, m int, eval func(i int) error) error {
+	errs := make([]error, m)
 	if w > m {
 		w = m
 	}
 	if w <= 1 {
 		for i := 0; i < m; i++ {
 			if i%fitStride == 0 && ctx.Err() != nil {
-				return
+				break
 			}
-			eval(i)
+			errs[i] = eval(i)
 		}
-		return
-	}
-	if obs.Enabled() {
-		obs.Counter("estimate.fit.pool_batches").Inc()
-		obs.Counter("estimate.fit.pool_tasks").Add(int64(m))
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
+	} else {
+		if obs.Enabled() {
+			obs.Counter("estimate.fit.pool_batches").Inc()
+			obs.Counter("estimate.fit.pool_tasks").Add(int64(m))
+		}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(w)
+		for k := 0; k < w; k++ {
+			go func() {
+				defer wg.Done()
+				for {
+					if ctx.Err() != nil {
+						return
+					}
+					i := int(next.Add(1)) - 1
+					if i >= m {
+						return
+					}
+					errs[i] = eval(i)
 				}
-				i := int(next.Add(1)) - 1
-				if i >= m {
-					return
-				}
-				eval(i)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("estimate: fit canceled: %w", err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

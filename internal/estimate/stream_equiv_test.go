@@ -55,9 +55,10 @@ func synthDelta(rng *rand.Rand, w *world.World, cut, newCut timeline.Tick) []tim
 	return evs
 }
 
-// coldRefit is the reference: a full NewFit over sources whose logs are the
-// archived events plus everything streamed so far, at the advanced cut.
-func coldRefit(t *testing.T, ctx context.Context, w *world.World, srcs []*source.Source, streamed [][]timeline.Event, cut, maxT timeline.Tick, opt FitOptions) *Estimator {
+// coldRefit is the reference: a full NewFit over the query domain pts and
+// sources whose logs are the archived events plus everything streamed so
+// far, at the advanced cut.
+func coldRefit(t *testing.T, ctx context.Context, w *world.World, srcs []*source.Source, streamed [][]timeline.Event, cut, maxT timeline.Tick, pts []world.DomainPoint, opt FitOptions) *Estimator {
 	t.Helper()
 	coldSrcs := make([]*source.Source, len(srcs))
 	for i, s := range srcs {
@@ -70,7 +71,7 @@ func coldRefit(t *testing.T, ctx context.Context, w *world.World, srcs []*source
 		}
 		coldSrcs[i] = cs
 	}
-	e, err := NewFit(ctx, w, coldSrcs, cut, maxT, nil, opt)
+	e, err := NewFit(ctx, w, coldSrcs, cut, maxT, pts, opt)
 	if err != nil {
 		t.Fatalf("cold fit at %d: %v", cut, err)
 	}
@@ -94,56 +95,70 @@ func exportBytes(t *testing.T, e *Estimator) []byte {
 
 // TestStreamingRefitEquivalence pins the streaming-ingestion invariant:
 // incremental refit over N epochs is byte-identical to a cold NewFit on
-// snapshot+log at the advanced cut, at multiple worker counts — checked at
-// every epoch, not just the last, so a drifting intermediate state can't
-// cancel out.
+// snapshot+log at the advanced cut, at multiple worker counts and over both
+// the whole domain and a one-point restriction (which runs the trackers'
+// point filter and the per-point entity walk) — checked at every epoch,
+// not just the last, so a drifting intermediate state can't cancel out.
+// Both sides run one fit pipeline, so what this pins is
+// profile.Tracker.Extend's merge of archived events with streamed deltas.
 func TestStreamingRefitEquivalence(t *testing.T) {
 	w := testWorld(t)
 	const t0, maxT = 300, 440
 	const epochs, step = 5, 8
+	domains := []struct {
+		name string
+		pts  []world.DomainPoint
+	}{
+		{"all", nil},
+		{"one", []world.DomainPoint{{Location: 0, Category: 0}}},
+	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ctx := context.Background()
-			opt := FitOptions{Workers: workers}
-			srcs := streamSources(t, w)
-			acc, err := NewAccumulator(ctx, w, srcs, t0, maxT, nil, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(7))
-			streamed := make([][]timeline.Event, len(srcs))
-			cut := timeline.Tick(t0)
-			for ep := 0; ep < epochs; ep++ {
-				newCut := cut + step
-				perSource := make([][]timeline.Event, len(srcs))
-				for i := range srcs {
-					perSource[i] = synthDelta(rng, w, cut, newCut)
-					streamed[i] = append(streamed[i], perSource[i]...)
-				}
-				if err := acc.Advance(ctx, newCut, perSource); err != nil {
-					t.Fatalf("epoch %d advance: %v", ep, err)
-				}
-				cut = newCut
+			for _, dom := range domains {
+				t.Run("pts="+dom.name, func(t *testing.T) {
+					ctx := context.Background()
+					opt := FitOptions{Workers: workers}
+					srcs := streamSources(t, w)
+					acc, err := NewAccumulator(ctx, w, srcs, t0, maxT, dom.pts, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(7))
+					streamed := make([][]timeline.Event, len(srcs))
+					cut := timeline.Tick(t0)
+					for ep := 0; ep < epochs; ep++ {
+						newCut := cut + step
+						perSource := make([][]timeline.Event, len(srcs))
+						for i := range srcs {
+							perSource[i] = synthDelta(rng, w, cut, newCut)
+							streamed[i] = append(streamed[i], perSource[i]...)
+						}
+						if err := acc.Advance(ctx, newCut, perSource); err != nil {
+							t.Fatalf("epoch %d advance: %v", ep, err)
+						}
+						cut = newCut
 
-				inc, err := acc.Build(ctx)
-				if err != nil {
-					t.Fatalf("epoch %d build: %v", ep, err)
-				}
-				cold := coldRefit(t, ctx, w, srcs, streamed, cut, maxT, opt)
-				incF, err := inc.Export()
-				if err != nil {
-					t.Fatal(err)
-				}
-				coldF, err := cold.Export()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(incF, coldF) {
-					t.Fatalf("epoch %d (cut %d): incremental refit diverged from cold fit", ep, cut)
-				}
-				if !bytes.Equal(exportBytes(t, inc), exportBytes(t, cold)) {
-					t.Fatalf("epoch %d (cut %d): exports not byte-identical", ep, cut)
-				}
+						inc, err := acc.Build(ctx)
+						if err != nil {
+							t.Fatalf("epoch %d build: %v", ep, err)
+						}
+						cold := coldRefit(t, ctx, w, srcs, streamed, cut, maxT, dom.pts, opt)
+						incF, err := inc.Export()
+						if err != nil {
+							t.Fatal(err)
+						}
+						coldF, err := cold.Export()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(incF, coldF) {
+							t.Fatalf("epoch %d (cut %d): incremental refit diverged from cold fit", ep, cut)
+						}
+						if !bytes.Equal(exportBytes(t, inc), exportBytes(t, cold)) {
+							t.Fatalf("epoch %d (cut %d): exports not byte-identical", ep, cut)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -176,7 +191,7 @@ func TestStreamingRefitMatchesColdQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := coldRefit(t, ctx, w, srcs, streamed, newCut, maxT, FitOptions{Workers: 2})
+	cold := coldRefit(t, ctx, w, srcs, streamed, newCut, maxT, nil, FitOptions{Workers: 2})
 	set := []int{0, 2, 3}
 	for _, dt := range []timeline.Tick{5, 20, 60} {
 		qi := inc.Quality(set, newCut+dt)

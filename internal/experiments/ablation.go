@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"freshsource/internal/estimate"
 	"freshsource/internal/metrics"
 	"freshsource/internal/source"
@@ -66,7 +68,7 @@ func Ablation(env *Env) ([]*Table, error) {
 		var nearErrs, covErrs, gfErrs, omErrs []float64
 		for _, si := range top {
 			src := d.Sources[si]
-			e, err := estimate.New(d.World, []*source.Source{src}, d.T0, ticks[len(ticks)-1], nil)
+			e, err := estimate.NewFit(context.Background(), d.World, []*source.Source{src}, d.T0, ticks[len(ticks)-1], nil, estimate.FitOptions{})
 			if err != nil {
 				return nil, err
 			}

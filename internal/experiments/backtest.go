@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"freshsource/internal/estimate"
@@ -45,7 +46,7 @@ func Backtest(env *Env) ([]*Table, error) {
 		var errs []float64
 		for _, si := range top {
 			src := d.Sources[si]
-			e, err := estimate.New(d.World, []*source.Source{src}, cut, evalTicks[len(evalTicks)-1], nil)
+			e, err := estimate.NewFit(context.Background(), d.World, []*source.Source{src}, cut, evalTicks[len(evalTicks)-1], nil, estimate.FitOptions{})
 			if err != nil {
 				return nil, err
 			}

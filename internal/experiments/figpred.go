@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -212,7 +213,7 @@ func Fig10a(env *Env) ([]*Table, error) {
 // relative errors of predicted coverage, local freshness and accuracy vs
 // ground truth at the given ticks.
 func predictSourceQuality(d *datasetHandle, src *source.Source, pts []world.DomainPoint, ticks []timeline.Tick) (cov, lf, acc []float64, err error) {
-	e, err := estimate.New(d.world, []*source.Source{src}, d.t0, ticks[len(ticks)-1], pts)
+	e, err := estimate.NewFit(context.Background(), d.world, []*source.Source{src}, d.t0, ticks[len(ticks)-1], pts, estimate.FitOptions{})
 	if err != nil {
 		return nil, nil, nil, err
 	}

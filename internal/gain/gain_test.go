@@ -1,6 +1,7 @@
 package gain
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -131,7 +132,7 @@ func buildFixture(t *testing.T) (*estimate.Estimator, *world.World) {
 		}
 		srcs = append(srcs, s)
 	}
-	e, err := estimate.New(w, srcs, 200, 290, nil)
+	e, err := estimate.NewFit(context.Background(), w, srcs, 200, 290, nil, estimate.FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

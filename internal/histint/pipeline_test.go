@@ -1,6 +1,7 @@
 package histint
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -80,11 +81,11 @@ func TestReconstructedTrainingMatchesGold(t *testing.T) {
 
 	t0 := timeline.Tick(130)
 	maxT := w.Horizon() - 1
-	gold, err := estimate.New(w, srcs, t0, maxT, nil)
+	gold, err := estimate.NewFit(context.Background(), w, srcs, t0, maxT, nil, estimate.FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := estimate.New(rw, rekeyed, t0, maxT, nil)
+	recon, err := estimate.NewFit(context.Background(), rw, rekeyed, t0, maxT, nil, estimate.FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

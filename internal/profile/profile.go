@@ -59,7 +59,7 @@ type Profile struct {
 	// updated its content.
 	LastUpdate timeline.Tick
 	// AcqDivisor m ≥ 1 models acquiring the source's updates at fS/m
-	// (Definition 4). Profiles built by Build have divisor 1; use
+	// (Definition 4). Profiles built by a Tracker have divisor 1; use
 	// WithDivisor to derive slower-acquisition variants.
 	AcqDivisor int
 
@@ -74,63 +74,50 @@ type Profile struct {
 }
 
 // Build profiles a source against the world over the training window
-// [0, t0], restricted to domain points pts (nil = all).
+// [0, t0], restricted to domain points pts (nil = all). It is a Tracker
+// positioned at t0 and built once; a fit over many sources compiles one
+// Domain and builds its trackers directly.
 func Build(w *world.World, s *source.Source, t0 timeline.Tick, pts []world.DomainPoint) (*Profile, error) {
-	if t0 < 0 || t0 >= w.Horizon() {
-		return nil, fmt.Errorf("profile: t0 %d outside world window [0, %d)", t0, w.Horizon())
+	tr, err := NewTracker(w, s, t0, NewDomain(pts))
+	if err != nil {
+		return nil, err
 	}
-	p := &Profile{SourceID: s.ID(), Name: s.Name(), T0: t0, AcqDivisor: 1}
-
-	inPts := inPtsFunc(pts)
-
-	p.buildSignatures(w, s.SnapshotAt(t0).States, inPts)
-	caps := make(map[timeline.EntityID]*captures)
-	for _, ev := range s.Log().Events() {
-		if ev.At > t0 {
-			break
-		}
-		observeCapture(caps, ev, w, inPts)
-	}
-	p.buildEffectiveness(w, caps, pts)
-	var sched scheduleStats
-	for _, ev := range s.Log().Events() {
-		if ev.At > t0 {
-			break
-		}
-		sched.observe(ev.At)
-	}
-	p.applySchedule(sched, s.UpdateInterval())
-
-	alive := w.AliveCount(t0, pts)
-	if alive > 0 {
-		p.CoverageT0 = float64(p.Bcov.Count()) / float64(alive)
-	}
-	return p, nil
+	return tr.Build(), nil
 }
 
-// inPtsFunc compiles a domain-point restriction into a membership predicate
-// (nil pts = no restriction).
-func inPtsFunc(pts []world.DomainPoint) func(world.DomainPoint) bool {
-	if pts == nil {
-		return func(world.DomainPoint) bool { return true }
-	}
-	set := make(map[world.DomainPoint]bool, len(pts))
-	for _, pt := range pts {
-		set[pt] = true
-	}
-	return func(pt world.DomainPoint) bool { return set[pt] }
+// Domain is a compiled domain-point restriction: the points a profile is
+// built over (nil = every point) and their membership set. It is read-only
+// once built, so one Domain is shared by every Tracker of a fit.
+type Domain struct {
+	pts []world.DomainPoint
+	in  map[world.DomainPoint]bool
 }
+
+// NewDomain compiles the restriction to pts (nil = no restriction).
+func NewDomain(pts []world.DomainPoint) *Domain {
+	d := &Domain{pts: pts}
+	if pts != nil {
+		d.in = make(map[world.DomainPoint]bool, len(pts))
+		for _, pt := range pts {
+			d.in[pt] = true
+		}
+	}
+	return d
+}
+
+// contains reports whether pt lies inside the restriction.
+func (d *Domain) contains(pt world.DomainPoint) bool { return d.pts == nil || d.in[pt] }
 
 // buildSignatures classifies each entity of a source snapshot (its
 // entity-state map at T0) against the world. The bitset adds are
-// order-independent, so any map works — Build passes a materialised
-// snapshot, Tracker its incrementally maintained state.
-func (p *Profile) buildSignatures(w *world.World, states map[timeline.EntityID]timeline.EntityState, inPts func(world.DomainPoint) bool) {
+// order-independent, so any iteration order of the map gives the same
+// signatures.
+func (p *Profile) buildSignatures(w *world.World, states map[timeline.EntityID]timeline.EntityState, dom *Domain) {
 	n := w.NumEntities()
 	p.B, p.Bcov, p.Bup = bitset.New(n), bitset.New(n), bitset.New(n)
 	for id, st := range states {
 		e := w.Entity(id)
-		if !inPts(e.Point) {
+		if !dom.contains(e.Point) {
 			continue
 		}
 		p.B.Add(int(id))
@@ -160,10 +147,9 @@ type captures struct {
 
 // observeCapture folds one source event into the capture index. Events must
 // arrive in Log order (timeline.Less); it is the single definition of the
-// capture semantics, shared by Build's cold scan and Tracker's streaming
-// feed.
-func observeCapture(caps map[timeline.EntityID]*captures, ev timeline.Event, w *world.World, inPts func(world.DomainPoint) bool) {
-	if !inPts(w.Entity(ev.Entity).Point) {
+// capture semantics.
+func observeCapture(caps map[timeline.EntityID]*captures, ev timeline.Event, w *world.World, dom *Domain) {
+	if !dom.contains(w.Entity(ev.Entity).Point) {
 		return
 	}
 	c := caps[ev.Entity]
@@ -264,8 +250,9 @@ func fitKM(obs []stats.Duration) *stats.KaplanMeier {
 
 // scheduleStats accumulates the distinct content-update timestamps (the set
 // MS of Section 4.1.2) as (count, last tick, sum of gaps). Folding gaps
-// left-to-right in tick order makes the accumulated float sum identical to
-// a cold scan over the same stream — the schedule's sufficient statistic.
+// left-to-right in tick order makes the accumulated float sum identical
+// however the stream is split across cuts — the schedule's sufficient
+// statistic.
 type scheduleStats struct {
 	ticks  int
 	last   timeline.Tick

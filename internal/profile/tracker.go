@@ -8,31 +8,31 @@ import (
 	"freshsource/internal/world"
 )
 
-// Tracker incrementally maintains one source's profiling sufficient
-// statistics — the capture index behind the Kaplan–Meier effectiveness
-// fits, the entity-state map behind the signatures, and the schedule
-// accumulator behind ūS/tS0 — so the training cut can advance without
-// rescanning the source's history.
+// Tracker maintains one source's profiling sufficient statistics — the
+// capture index behind the Kaplan–Meier effectiveness fits, the
+// entity-state map behind the signatures, and the schedule accumulator
+// behind ūS/tS0 — in one pass over the source's events, so the training cut
+// can advance without rescanning the source's history. It is the only way a
+// Profile is fitted from a log: Build is a Tracker at t0, built once.
 //
-// The invariant: after NewTracker(w, s, t0, pts) and any sequence of
-// Extend calls ending at cut c, Build() returns a Profile identical (to
-// the byte) to profile.Build(w, s', c, pts) where s' is the source whose
+// The invariant: after NewTracker(w, s, t0, dom) and any sequence of Extend
+// calls ending at cut c, Build() returns a Profile identical (to the byte)
+// to a fresh NewTracker(w, s', c, dom).Build() where s' is the source whose
 // log is s's archived events plus every streamed delta. This holds because
 // all three statistics are pure folds over the time-ordered event stream:
 // the capture index is first-capture-wins (order-defined by timeline.Less,
 // which Extend's merge preserves), the entity-state map applies
-// timeline.ApplyEvent in the same order a cold Materialize would, and the
+// timeline.ApplyEvent in the same order timeline.Materialize would, and the
 // schedule fold accumulates distinct-tick gaps left-to-right. Build then
-// runs the exact enumeration code Build/buildEffectiveness runs, so the
-// delay-observation multisets — and their order — match a cold build.
+// enumerates delay observations from that state, so their multisets — and
+// their order — match a tracker that read the merged log directly.
 //
 // A Tracker is not safe for concurrent use; the ingestion layer serializes
 // epochs.
 type Tracker struct {
-	w     *world.World
-	src   *source.Source
-	pts   []world.DomainPoint
-	inPts func(world.DomainPoint) bool
+	w   *world.World
+	src *source.Source
+	dom *Domain
 
 	cut    timeline.Tick
 	caps   map[timeline.EntityID]*captures
@@ -40,17 +40,16 @@ type Tracker struct {
 	sched  scheduleStats
 }
 
-// NewTracker builds a tracker positioned at cut t0, folding the source's
-// archived events in [0, t0] (the same prefix a cold Build consumes).
-func NewTracker(w *world.World, s *source.Source, t0 timeline.Tick, pts []world.DomainPoint) (*Tracker, error) {
+// NewTracker builds a tracker positioned at cut t0 over the restriction
+// dom, folding the source's archived events in [0, t0].
+func NewTracker(w *world.World, s *source.Source, t0 timeline.Tick, dom *Domain) (*Tracker, error) {
 	if t0 < 0 || t0 >= w.Horizon() {
 		return nil, fmt.Errorf("profile: t0 %d outside world window [0, %d)", t0, w.Horizon())
 	}
 	tr := &Tracker{
 		w:      w,
 		src:    s,
-		pts:    pts,
-		inPts:  inPtsFunc(pts),
+		dom:    dom,
 		cut:    t0,
 		caps:   make(map[timeline.EntityID]*captures),
 		states: make(map[timeline.EntityID]timeline.EntityState),
@@ -72,7 +71,7 @@ func (tr *Tracker) Cut() timeline.Tick { return tr.cut }
 func (tr *Tracker) observe(ev timeline.Event) {
 	tr.sched.observe(ev.At)
 	timeline.ApplyEvent(tr.states, ev)
-	observeCapture(tr.caps, ev, tr.w, tr.inPts)
+	observeCapture(tr.caps, ev, tr.w, tr.dom)
 }
 
 // Extend advances the cut to newCut, folding in the source's own archived
@@ -116,17 +115,16 @@ func (tr *Tracker) Extend(newCut timeline.Tick, delta []timeline.Event) error {
 }
 
 // Build materialises the Profile at the current cut from the maintained
-// statistics. It runs the same signature classification, observation
-// enumeration and schedule finisher as profile.Build, so the result is
-// byte-identical to a cold build over the extended log.
-func (tr *Tracker) Build() (*Profile, error) {
+// statistics: signatures, Kaplan–Meier effectiveness fits and schedule.
+// It does not mutate the tracker, so it may be called at every cut.
+func (tr *Tracker) Build() *Profile {
 	p := &Profile{SourceID: tr.src.ID(), Name: tr.src.Name(), T0: tr.cut, AcqDivisor: 1}
-	p.buildSignatures(tr.w, tr.states, tr.inPts)
-	p.buildEffectiveness(tr.w, tr.caps, tr.pts)
+	p.buildSignatures(tr.w, tr.states, tr.dom)
+	p.buildEffectiveness(tr.w, tr.caps, tr.dom.pts)
 	p.applySchedule(tr.sched, tr.src.UpdateInterval())
-	alive := tr.w.AliveCount(tr.cut, tr.pts)
+	alive := tr.w.AliveCount(tr.cut, tr.dom.pts)
 	if alive > 0 {
 		p.CoverageT0 = float64(p.Bcov.Count()) / float64(alive)
 	}
-	return p, nil
+	return p
 }

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -44,7 +45,7 @@ func benchProblem(b *testing.B) *benchEnv {
 		b.Fatal(err)
 	}
 	ticks := []timeline.Tick{110, 125, 140, 155}
-	est, err := estimate.New(d.World, d.Sources, d.T0, 155, nil)
+	est, err := estimate.NewFit(context.Background(), d.World, d.Sources, d.T0, 155, nil, estimate.FitOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

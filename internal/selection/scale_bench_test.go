@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"testing"
@@ -62,7 +63,7 @@ func scaleProblem(b *testing.B, sources int) *scaleEnv {
 		b.Fatal(err)
 	}
 	ticks := []timeline.Tick{17, 19, 21}
-	est, err := estimate.New(d.World, d.Sources, d.T0, 21, nil)
+	est, err := estimate.NewFit(context.Background(), d.World, d.Sources, d.T0, 21, nil, estimate.FitOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"time"
 
 	"freshsource/internal/core"
@@ -209,10 +210,22 @@ func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) 
 	return SpreadTicks(d.T0, d.Horizon(), future), nil
 }
 
+// maxDivisors bounds the divisors list of /v1/select and /v1/quality. Each
+// distinct list is its own registry key and a full detached fit, and every
+// entry adds one candidate per source, so a long list is refused rather
+// than fitted; 8 covers the paper's {2,…,7} sweep.
+const maxDivisors = 8
+
 func validDivisors(divs []int) error {
-	for _, m := range divs {
+	if len(divs) > maxDivisors {
+		return fmt.Errorf("divisors: %d entries, at most %d allowed", len(divs), maxDivisors)
+	}
+	for i, m := range divs {
 		if m < 1 {
-			return fmt.Errorf("divisor %d must be ≥ 1", m)
+			return fmt.Errorf("divisors: divisor %d must be ≥ 1", m)
+		}
+		if slices.Contains(divs[:i], m) {
+			return fmt.Errorf("divisors: divisor %d repeats", m)
 		}
 	}
 	return nil

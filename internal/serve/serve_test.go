@@ -286,6 +286,44 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestDivisorsBounded: a divisors list longer than maxDivisors, or one
+// that repeats a value, is refused with 400 naming the field on both
+// endpoints that take it — before it reaches the registry, so no fit
+// starts.
+func TestDivisorsBounded(t *testing.T) {
+	srv := newServer(t, Config{})
+	defer srv.Close()
+	bodies := map[string]string{
+		"/v1/select":  `{"divisors":%s}`,
+		"/v1/quality": `{"set":[0],"divisors":%s}`,
+	}
+	lists := []struct{ name, divs string }{
+		{"repeat", "[2,3,2]"},
+		{"nine entries", "[2,3,4,5,6,7,8,9,10]"},
+		{"200 copies", "[" + strings.Repeat("2,", 199) + "2]"},
+	}
+	misses := counter("serve.registry.trained_misses")
+	for path, body := range bodies {
+		for _, l := range lists {
+			rec := postJSON(t, srv.Handler(), path, fmt.Sprintf(body, l.divs))
+			var resp errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s %s: error body %q: %v", path, l.name, rec.Body.String(), err)
+			}
+			if rec.Code != http.StatusBadRequest || !strings.Contains(resp.Error, "divisors") {
+				t.Errorf("%s %s: %d %q, want 400 naming divisors", path, l.name, rec.Code, resp.Error)
+			}
+		}
+	}
+	if got := counter("serve.registry.trained_misses") - misses; got != 0 {
+		t.Errorf("rejected divisor lists started %d fits", got)
+	}
+	// The longest allowed list of distinct divisors is still served.
+	if rec := postJSON(t, srv.Handler(), "/v1/quality", `{"set":[0],"divisors":[2,3,4,5,6,7,8,9]}`); rec.Code != http.StatusOK {
+		t.Errorf("%d distinct divisors: %d %s, want 200", maxDivisors, rec.Code, rec.Body.String())
+	}
+}
+
 // TestExecutionFieldsRejected: a request cannot choose how the server
 // solves. Execution knobs are unknown fields — 400 naming the field — and
 // in particular a huge worker count spawns nothing.
