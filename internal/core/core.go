@@ -209,7 +209,9 @@ const (
 	// calls. It selects exactly what Greedy does as long as no float
 	// marginal gain rises between rounds; submodularity guarantees that in
 	// exact arithmetic, but rounding can break it by a few ulps
-	// (DESIGN.md §5d), which is why Greedy stays the full scan.
+	// (DESIGN.md §5d), which is why Greedy stays the full scan. Only its
+	// first, singleton sweep fans across Workers; the re-probes run one at
+	// a time.
 	LazyGreedy Algorithm = "lazygreedy"
 	// Budgeted is the cost-benefit greedy for tight βc budgets (ratio
 	// greedy + best-singleton fallback).
@@ -226,7 +228,8 @@ type SolveOptions struct {
 	Seed int64
 	// Workers fans each round's candidate sweep across this many
 	// goroutines: 0 keeps the sequential path, negative uses all cores.
-	// Results are deterministic and identical at any worker count.
+	// Every algorithm's Selection is deterministic and identical at any
+	// worker count, OracleCalls included.
 	Workers int
 }
 

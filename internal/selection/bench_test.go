@@ -72,6 +72,8 @@ func (o fullOracle) Value(set []int) float64 { return o.p.Value(set) }
 func (o fullOracle) Feasible(set []int) bool { return o.p.Feasible(set) }
 
 // benchVariants returns the oracle factory and options of each variant.
+// parallel+incr runs every wide sweep on the pool; its Results, oracle
+// calls included, equal incr's, so the pair differs in wall clock only.
 func benchVariants(e *benchEnv) []struct {
 	name   string
 	oracle func() Oracle
@@ -83,9 +85,9 @@ func benchVariants(e *benchEnv) []struct {
 		opts   []Option
 	}{
 		{"seq", func() Oracle { return fullOracle{e.profit} }, nil},
-		// incr and parallel+incr are gated pairwise against each other
-		// (benchjson -require-faster in the multicore profile), so they
-		// run back-to-back: adjacent windows share the same host-load
+		// Greedy's incr and parallel+incr are gated pairwise against each
+		// other (benchjson -require-faster in the multicore profile), so
+		// they run back-to-back: adjacent windows share the same host-load
 		// weather, keeping the comparison about the code.
 		{"incr", func() Oracle { return e.profit }, nil},
 		{"parallel+incr", func() Oracle { return e.profit }, []Option{Parallel(-1)}},

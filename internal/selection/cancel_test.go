@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"freshsource/internal/matroid"
+	"freshsource/internal/obs"
 	"freshsource/internal/stats"
 )
 
@@ -108,23 +109,37 @@ func TestCancelMidRunConsistency(t *testing.T) {
 
 // TestCancelMidRunParallel exercises cancellation against the parallel sweep
 // engine (workers observe the context between move pulls) under the race
-// detector.
+// detector, for every algorithm. At 64 candidates each algorithm's first
+// sweep is wide enough for Parallel(2) to reach the pool, which the
+// selection.sweep.parallel_batches counter confirms.
 func TestCancelMidRunParallel(t *testing.T) {
-	plain := randomWC(32, 7)
+	obs.Enable()
+	batches := obs.Counter("selection.sweep.parallel_batches")
+	const n = 64
+	plain := randomWC(n, 7)
 	for _, limit := range []int64{3, 40, 400} {
-		ctx, cancel := context.WithCancel(context.Background())
-		o := &cancelAfter{inner: plain, cancel: cancel, limit: limit}
-		res := GRASP(o, 32, 3, 8, stats.NewRNG(7), Context(ctx), Parallel(8))
-		cancel()
-		if got, want := res.Value, plain.Value(res.Set); got != want {
-			t.Errorf("limit=%d: Value %v inconsistent with f(Set)=%v", limit, got, want)
+		for alg := 0; alg < 6; alg++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			o := &cancelAfter{inner: plain, cancel: cancel, limit: limit}
+			before := batches.Value()
+			res := runAlgCtx(alg, o, n, ctx, Parallel(2))
+			cancel()
+			if res.Err != nil && !errors.Is(res.Err, ErrCanceled) {
+				t.Fatalf("%s limit=%d: Err = %v", algNames[alg], limit, res.Err)
+			}
+			if got, want := res.Value, plain.Value(res.Set); got != want {
+				t.Errorf("%s limit=%d: Value %v inconsistent with f(Set)=%v", algNames[alg], limit, got, want)
+			}
+			if batches.Value() == before {
+				t.Errorf("%s limit=%d: no sweep reached the pool", algNames[alg], limit)
+			}
 		}
 	}
 }
 
 // runAlgCtx runs the alg-th algorithm of the runAll order individually so
-// each gets a fresh cancel oracle.
-func runAlgCtx(alg int, f Oracle, n int, ctx context.Context) Result {
+// each gets a fresh cancel oracle; extra options follow the context.
+func runAlgCtx(alg int, f Oracle, n int, ctx context.Context, extra ...Option) Result {
 	classOf := make([]int, n)
 	for i := range classOf {
 		classOf[i] = i / 2
@@ -133,20 +148,20 @@ func runAlgCtx(alg int, f Oracle, n int, ctx context.Context) Result {
 	if err != nil {
 		panic(err)
 	}
-	opt := Context(ctx)
+	opts := append([]Option{Context(ctx)}, extra...)
 	switch alg {
 	case 0:
-		return Greedy(f, n, opt)
+		return Greedy(f, n, opts...)
 	case 1:
-		return MaxSub(f, n, 0.05, opt)
+		return MaxSub(f, n, 0.05, opts...)
 	case 2:
-		return MatroidMax(f, n, []matroid.Matroid{pm}, 0.05, opt)
+		return MatroidMax(f, n, []matroid.Matroid{pm}, 0.05, opts...)
 	case 3:
-		return GRASP(f, n, 3, 5, stats.NewRNG(42), opt)
+		return GRASP(f, n, 3, 5, stats.NewRNG(42), opts...)
 	case 4:
-		return LazyGreedy(f, n, opt)
+		return LazyGreedy(f, n, opts...)
 	case 5:
-		return BudgetedGreedy(f, n, func(i int) float64 { return float64(i%4) + 1 }, opt)
+		return BudgetedGreedy(f, n, func(i int) float64 { return float64(i%4) + 1 }, opts...)
 	}
 	panic("bad alg")
 }

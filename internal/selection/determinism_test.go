@@ -142,46 +142,15 @@ func requireIdentical(t *testing.T, label string, want, got []Result) {
 // fanning candidate sweeps across workers changes nothing — same sets,
 // bit-identical values, identical oracle-call counts — because move values
 // land at fixed indices and the reduction runs in the sequential scan
-// order. Speculative(-1) keeps LazyGreedy purely lazy, where even its
-// probe count is pinned; the speculative path (extra probes, same
-// selection) is covered separately below and in TestScaleDeterminism.
+// order. That includes LazyGreedy: only its singleton sweep fans out, and
+// every stale recompute after it runs one heap pop at a time.
 func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		o := randomWC(24, seed)
 		seq := runAll(o, 24)
 		for _, workers := range []int{2, 4, 7} {
-			par := runAll(o, 24, Parallel(workers), Speculative(-1))
+			par := runAll(o, 24, Parallel(workers))
 			requireIdentical(t, "parallel", seq, par)
-		}
-	}
-}
-
-// TestSpeculativeMatchesLazy pins the speculative CELF contract on the
-// integer-weighted fixtures, whose values are exact floats: batched
-// concurrent recomputation of stale heap entries never changes what gets
-// selected — Set and Value are byte-identical to the purely lazy run at
-// any worker count and stride — while OracleCalls may only grow, by the
-// speculation margin.
-func TestSpeculativeMatchesLazy(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		o := randomWC(24, seed)
-		lazy := LazyGreedy(o, 24)
-		for _, workers := range []int{1, 2, 4, 7} {
-			for _, stride := range []int{1, 2, 8} {
-				spec := LazyGreedy(o, 24, Parallel(workers), Speculative(stride))
-				label := "speculative"
-				if !reflect.DeepEqual(spec.Set, lazy.Set) {
-					t.Errorf("%s w=%d s=%d: set %v != %v", label, workers, stride, spec.Set, lazy.Set)
-				}
-				if spec.Value != lazy.Value {
-					t.Errorf("%s w=%d s=%d: value %v != %v (not bit-identical)",
-						label, workers, stride, spec.Value, lazy.Value)
-				}
-				if spec.OracleCalls < lazy.OracleCalls {
-					t.Errorf("%s w=%d s=%d: %d oracle calls, below the lazy run's %d",
-						label, workers, stride, spec.OracleCalls, lazy.OracleCalls)
-				}
-			}
 		}
 	}
 }
@@ -197,7 +166,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		fast := runAll(incr, 24)
 		requireIdentical(t, "incremental", full, fast)
 		// And the two paths compose with parallel sweeps.
-		both := runAll(incr, 24, Parallel(4), Speculative(-1))
+		both := runAll(incr, 24, Parallel(4))
 		requireIdentical(t, "incremental+parallel", full, both)
 	}
 }

@@ -104,23 +104,6 @@ func (h *celfHeap) pop() celfEntry {
 	return top
 }
 
-func (h celfHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !celfBefore(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// push inserts e, restoring the heap order.
-func (h *celfHeap) push(e celfEntry) {
-	*h = append(*h, e)
-	(*h).siftUp(len(*h) - 1)
-}
-
 // LazyGreedy is the CELF-accelerated greedy: plain Greedy's move sequence
 // driven by a max-heap of stale marginal gains instead of a full candidate
 // rescan per round. The result is identical to Greedy's — same Set, same
@@ -137,66 +120,52 @@ func (h *celfHeap) push(e celfEntry) {
 // infeasible set stay infeasible — true of the additive budget and of
 // matroid constraints), as rejected candidates are dropped for good.
 //
-// The initial singleton sweep fans across workers like Greedy's, written
-// straight into per-worker heap shards (shardheap.go); stale entries are
-// then re-evaluated either purely lazily — one sequential heap pop at a
-// time — or speculatively in concurrent batches of the top-K stale
-// entries (the Speculative option; on by default with Workers > 1).
-// Adoption is always sequential in Greedy's exact argmax order. A purely
-// lazy run is therefore byte-identical at any worker count, OracleCalls
-// included. Speculation refreshes extra stale bounds, so it selects the
-// same Set and Value under the same no-rise condition as the Greedy
-// equivalence, and OracleCalls may grow by the speculation margin
-// (reported via the selection.lazygreedy.speculative_{recomputes,wasted}
-// counters).
+// The initial singleton sweep is Greedy's first round, fanned across
+// workers like any wide sweep; after it, every stale recompute and every
+// adoption happens one heap pop at a time. The run is therefore
+// byte-identical at any worker count, OracleCalls included.
 func LazyGreedy(f Oracle, n int, opts ...Option) Result {
 	co, rt := traceRun(f, "lazygreedy")
 	stale := obs.Counter("selection.lazygreedy.stale_recomputes")
 	adds := obs.Counter("selection.lazygreedy.adds")
-	specRecomputes := obs.Counter("selection.lazygreedy.speculative_recomputes")
-	specWasted := obs.Counter("selection.lazygreedy.speculative_wasted")
 	ev := newEvaluator(opts)
 	defer ev.close()
 	var set []int
 	cur := co.Value(set)
 
 	// Initial bounds: one full singleton sweep — exactly Greedy's first
-	// round, so the heap starts from the same values Greedy scans — built
-	// shard-concurrently with no global scratch arrays or serial heapify.
+	// round, so the heap starts from the same values Greedy scans.
+	vals := make([]float64, n)
+	ok := make([]bool, n)
 	probe := beginAdds(co, set)
-	h := buildShardHeap(ev, n, cur, func(x int) (float64, bool) {
+	ev.sweep(n, func(x int) {
+		ok[x] = false
 		cand := with(set, x)
 		if !co.Feasible(cand) {
-			return 0, false
+			return
 		}
-		return probe.value(cand, x), true
+		vals[x] = probe.value(cand, x)
+		ok[x] = true
 	})
 	if ev.canceled() {
 		return rt.finishErr(set, cur, ErrCanceled)
 	}
-
-	// batch carries one speculative round-trip's stale entries (entry,
-	// origin shard, recompute outcome); reused across batches.
-	type specProbe struct {
-		e     celfEntry
-		shard int
-		ok    bool
+	h := make(celfHeap, 0, n)
+	for x := 0; x < n; x++ {
+		if ok[x] {
+			h = append(h, celfEntry{idx: int32(x), gain: vals[x] - cur, val: vals[x]})
+		}
 	}
-	var batch []specProbe
-	// specPending counts speculative recomputes since the last adoption.
-	// Exactly one of them becomes the next adopted argmax (every fresh
-	// entry at the current round came from a batch); the rest are the
-	// speculation waste charged to specWasted at adoption or exit.
-	specPending := 0
+	h.init()
 
 	var round int32
-	for h.len() > 0 {
+	for len(h) > 0 {
 		if ev.canceled() {
 			// cur is the oracle-exact value of set after every completed
 			// move, so the canceled pair is already consistent.
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
-		s, top := h.top()
+		top := &h[0]
 		if top.gain <= 0 {
 			// Even the most optimistic bound does not improve: Greedy's
 			// stopping condition (no value strictly above cur — a nonzero
@@ -207,80 +176,28 @@ func LazyGreedy(f Oracle, n int, opts ...Option) Result {
 			// Fresh and on top: this is Greedy's argmax. Adopt its oracle
 			// value directly (never cur + gain, which would accumulate
 			// rounding).
-			e := h.pop(s)
+			e := h.pop()
 			set = with(set, int(e.idx))
 			cur = e.val
 			round++
 			adds.Inc()
-			if specPending > 0 {
-				specWasted.Add(int64(specPending - 1))
-				specPending = 0
-			}
 			probe = beginAdds(co, set)
 			continue
 		}
-		if ev.spec < 2 {
-			// Purely lazy: recompute the stale top against the current
-			// solution and restore the heap order. Infeasible candidates
-			// leave for good (downward-closed feasibility).
-			cand := with(set, int(top.idx))
-			if !co.Feasible(cand) {
-				h.pop(s)
-				continue
-			}
-			v := probe.value(cand, int(top.idx))
-			top.val = v
-			top.gain = v - cur
-			top.round = round
-			stale.Inc()
-			h.fix(s)
+		// Stale: recompute against the current solution and restore the
+		// heap order. Infeasible candidates leave for good
+		// (downward-closed feasibility).
+		cand := with(set, int(top.idx))
+		if !co.Feasible(cand) {
+			h.pop()
 			continue
 		}
-		// Speculative batch: pop the top-K stale entries — the candidates
-		// lazy evaluation would most plausibly touch next — recompute their
-		// probes concurrently, and reinsert with fresh bounds. Adoption
-		// still happens sequentially on subsequent iterations, so the
-		// argmax is exactly the lazy path's; speculation only spends extra
-		// probes on entries whose recompute turns out not to decide the
-		// round.
-		batch = batch[:0]
-		for len(batch) < ev.spec && h.len() > 0 {
-			bs, bt := h.top()
-			if bt.round == round || bt.gain <= 0 {
-				break
-			}
-			batch = append(batch, specProbe{e: h.pop(bs), shard: bs})
-		}
-		ev.sweepEager(len(batch), func(k int) {
-			p := &batch[k]
-			p.ok = false
-			cand := with(set, int(p.e.idx))
-			if !co.Feasible(cand) {
-				return
-			}
-			v := probe.value(cand, int(p.e.idx))
-			p.e.val = v
-			p.e.gain = v - cur
-			p.e.round = round
-			p.ok = true
-		})
-		if ev.canceled() {
-			return rt.finishErr(set, cur, ErrCanceled)
-		}
-		recomputed := 0
-		for k := range batch {
-			if batch[k].ok {
-				recomputed++
-				h.push(batch[k].shard, batch[k].e)
-			}
-		}
-		stale.Add(int64(recomputed))
-		specRecomputes.Add(int64(recomputed))
-		specPending += recomputed
-	}
-	if specPending > 0 {
-		// Recomputes after the last adoption only confirmed termination.
-		specWasted.Add(int64(specPending))
+		v := probe.value(cand, int(top.idx))
+		top.val = v
+		top.gain = v - cur
+		top.round = round
+		stale.Inc()
+		h.siftDown(0)
 	}
 	return rt.finish(set, cur)
 }

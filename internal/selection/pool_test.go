@@ -3,7 +3,6 @@ package selection
 import (
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -96,58 +95,4 @@ func TestSweepPoolCloseIdempotent(t *testing.T) {
 	}
 	p.close()
 	p.close() // idempotent
-}
-
-// TestShardHeapPopOrder pins the merge invariant the sharded CELF heap
-// relies on: because celfBefore is a strict total order, draining the
-// shard heap yields exactly the same sequence regardless of the shard
-// count — byte-identical to a single global heap.
-func TestShardHeapPopOrder(t *testing.T) {
-	const n = 257
-	vals := make([]float64, n)
-	for x := 0; x < n; x++ {
-		// A few deliberate gain ties (x%7) to exercise the idx tiebreak.
-		vals[x] = float64(x % 7)
-	}
-	value := func(x int) (float64, bool) { return vals[x], x%13 != 0 }
-
-	var want []celfEntry
-	for _, workers := range []int{1, 2, 4, 8} {
-		ev := newEvaluator([]Option{Parallel(workers)})
-		sh := buildShardHeap(ev, n, 0, value)
-		var got []celfEntry
-		for sh.len() > 0 {
-			s, _ := sh.top()
-			got = append(got, sh.pop(s))
-		}
-		ev.close()
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return celfBefore(got[i], got[j]) }) {
-			t.Fatalf("workers=%d: drain sequence not in celfBefore order", workers)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: drain sequence diverges from the single-shard heap", workers)
-		}
-	}
-
-	// Reinsertion (the speculative path's pop→recompute→push round-trip)
-	// preserves the order property: push updated entries back into
-	// arbitrary shards and verify the next top is the global best.
-	ev := newEvaluator([]Option{Parallel(4)})
-	defer ev.close()
-	sh := buildShardHeap(ev, n, 0, value)
-	s1, _ := sh.top()
-	e1 := sh.pop(s1)
-	s2, _ := sh.top()
-	e2 := sh.pop(s2)
-	e1.gain, e1.round = -1, 1 // now worse than everything
-	e2.gain, e2.round = 99, 1 // now better than everything
-	sh.push(s1, e1)
-	sh.push(s2, e2)
-	if _, top := sh.top(); top.idx != e2.idx || top.gain != 99 {
-		t.Errorf("top after reinsertion = idx %d gain %v, want idx %d gain 99", top.idx, top.gain, e2.idx)
-	}
 }

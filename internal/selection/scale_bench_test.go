@@ -97,11 +97,11 @@ func skipUnlessFull(b *testing.B) {
 
 // BenchmarkScaleCELF runs the full lazy-greedy solve end to end. The paper
 // target: the 15k-candidate solve completes in under a second. The seq
-// variant is the purely lazy single-threaded solve; parallel fans the
-// singleton sweep and speculative stale-entry recomputes across all cores
-// through the persistent sweep pool (default speculation stride). The
-// multi-core bench profile gates parallel strictly faster than seq at 15k
-// via benchjson -require-faster.
+// variant is the single-threaded solve; parallel fans the singleton sweep
+// across all cores through the persistent sweep pool, and the stale
+// recomputes after it run one heap pop at a time either way. The
+// multi-core bench profile gates parallel strictly faster than seq at 1k
+// and 15k via benchjson -require-faster.
 func BenchmarkScaleCELF(b *testing.B) {
 	variants := []struct {
 		name string

@@ -27,7 +27,9 @@
 // land at fixed indices, the argmax reduction runs sequentially in the
 // historical scan order (ties resolve to the lowest-index move), and
 // incremental probes are bit-identical to full evaluations, so accelerated
-// runs return byte-identical Results to the plain sequential path.
+// runs return byte-identical Results to the plain sequential path. The
+// same holds for LazyGreedy, whose CELF loop pools only the singleton
+// sweep and then walks one heap sequentially.
 package selection
 
 import (
@@ -65,8 +67,8 @@ type Result struct {
 	// performed: every algorithm counts through a CountingOracle wrapper,
 	// so the count never depends on the oracle implementing one.
 	// Incremental ValueAdd probes count exactly like the full Value
-	// evaluations they replace, so the count is identical across the
-	// sequential, parallel and incremental paths.
+	// evaluations they replace, so for every algorithm the count is
+	// identical across the sequential, parallel and incremental paths.
 	OracleCalls int
 	// Duration is the wall-clock time of the run.
 	Duration time.Duration
@@ -241,13 +243,9 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 	cands := make([][]int, n)
 	for {
 		moved := false
-		// Addition sweep, optionally over a sampled neighborhood (the
-		// Sampled option): indices are drawn before the sweep fans out and
-		// the reduction scans them in ascending order, so the sampled path
-		// keeps the deterministic lowest-index tie resolution.
-		addIdx := ev.sampleIdx(n)
+		// Addition sweep.
 		probe := beginAdds(co, set)
-		ev.sweepOn(n, addIdx, func(x int) {
+		ev.sweep(n, func(x int) {
 			ok[x] = false
 			if member.Contains(x) {
 				return
@@ -263,18 +261,9 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
 		bestIdx, bestVal := -1, cur
-		reduceAdd := func(x int) {
+		for x := 0; x < n; x++ {
 			if ok[x] && improves(vals[x], cur, eps, denom) && vals[x] > bestVal {
 				bestIdx, bestVal = x, vals[x]
-			}
-		}
-		if addIdx == nil {
-			for x := 0; x < n; x++ {
-				reduceAdd(x)
-			}
-		} else {
-			for _, x := range addIdx {
-				reduceAdd(x)
 			}
 		}
 		if bestIdx >= 0 {
@@ -442,11 +431,8 @@ func MatroidLocalSearch(f Oracle, ground []int, ms []matroid.Matroid, eps float6
 		}
 
 		// Ln. 8–10: exchange operation — bring in d, removing at most one
-		// conflicting element per matroid. Optionally over a sampled
-		// neighborhood (the Sampled option), drawn sequentially and reduced
-		// in ascending order for determinism at any worker count.
-		exIdx := ev.sampleIdx(g)
-		ev.sweepOn(g, exIdx, func(i int) {
+		// conflicting element per matroid.
+		ev.sweep(g, func(i int) {
 			ok[i] = false
 			d := ground[i]
 			if member.Contains(d) {
@@ -480,18 +466,9 @@ func MatroidLocalSearch(f Oracle, ground []int, ms []matroid.Matroid, eps float6
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
 		bestI, bestVal = -1, cur
-		reduceEx := func(i int) {
+		for i := 0; i < g; i++ {
 			if ok[i] && improves(vals[i], cur, eps, denom) && vals[i] > bestVal {
 				bestI, bestVal = i, vals[i]
-			}
-		}
-		if exIdx == nil {
-			for i := 0; i < g; i++ {
-				reduceEx(i)
-			}
-		} else {
-			for _, i := range exIdx {
-				reduceEx(i)
 			}
 		}
 		if bestI >= 0 {

@@ -161,9 +161,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // withDefaults normalizes a select request: every defaulted field is made
-// explicit and Future is resolved into Ticks, so the normalized form is the
-// canonical cache identity of the request.
-func (req SelectRequest) withDefaults(defaultFuture int) SelectRequest {
+// explicit (resolveTicks then folds Future into Ticks), so the normalized
+// form is the canonical cache identity of the request.
+func (req SelectRequest) withDefaults() SelectRequest {
 	if req.Algorithm == "" {
 		req.Algorithm = string(core.MaxSub)
 	}
@@ -182,16 +182,26 @@ func (req SelectRequest) withDefaults(defaultFuture int) SelectRequest {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	if len(req.Ticks) == 0 && req.Future <= 0 {
-		req.Future = defaultFuture
-	}
 	return req
 }
 
 // resolveTicks turns a request's explicit Tf or future count into validated
 // ticks inside the evaluation window (T0, Horizon) of the generation's
-// snapshot.
+// snapshot. Neither may ask for more ticks than the window holds: the
+// count sizes the tick list, the cache key, the evaluation and the
+// response, so an unbounded one lets a tiny body demand gigabytes. The
+// bound applies to the request's own values, before DefaultFuture fills
+// an absent count.
 func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) ([]timeline.Tick, error) {
+	window := int(d.Horizon() - 1 - d.T0)
+	if future > window {
+		return nil, fmt.Errorf("future: %d ticks, the evaluation window (%d, %d] holds %d",
+			future, d.T0, d.Horizon()-1, window)
+	}
+	if len(explicit) > window {
+		return nil, fmt.Errorf("ticks: %d entries, the evaluation window (%d, %d] holds %d",
+			len(explicit), d.T0, d.Horizon()-1, window)
+	}
 	if len(explicit) > 0 {
 		out := make([]timeline.Tick, len(explicit))
 		for i, t := range explicit {
@@ -256,7 +266,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	req = req.withDefaults(s.cfg.DefaultFuture)
+	req = req.withDefaults()
 
 	t := s.tenantFor(w, r)
 	if t == nil {

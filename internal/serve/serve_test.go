@@ -324,6 +324,58 @@ func TestDivisorsBounded(t *testing.T) {
 	}
 }
 
+// TestTicksBounded: a future count or an explicit tick list longer than
+// the evaluation window (T0, Horizon−1] is refused with 400 naming the
+// field on both endpoints — before any problem is built or result cached,
+// and without allocating the requested tick list. A future count equal to
+// the window is still served.
+func TestTicksBounded(t *testing.T) {
+	d := testDataset(t)
+	srv := newServer(t, Config{})
+	defer srv.Close()
+	window := int(d.Horizon() - 1 - d.T0)
+	ticks := make([]string, window+1)
+	for i := range ticks {
+		ticks[i] = fmt.Sprint(int64(d.T0) + 1 + int64(i%window))
+	}
+	prefixes := map[string]string{
+		"/v1/select":  `{"algorithm":"lazygreedy",`,
+		"/v1/quality": `{"set":[0],`,
+	}
+	cases := []struct{ field, body string }{
+		{"future", fmt.Sprintf(`"future":%d}`, window+1)},
+		{"future", fmt.Sprintf(`"future":%d}`, int64(1)<<40)},
+		{"ticks", `"ticks":[` + strings.Join(ticks, ",") + `]}`},
+	}
+	results := counter("serve.registry.result_misses")
+	problems := counter("serve.registry.problem_misses")
+	for path, prefix := range prefixes {
+		for _, tc := range cases {
+			rec := postJSON(t, srv.Handler(), path, prefix+tc.body)
+			var resp errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s %.40s: error body %q: %v", path, tc.body, rec.Body.String(), err)
+			}
+			if rec.Code != http.StatusBadRequest || !strings.HasPrefix(resp.Error, tc.field+":") {
+				t.Errorf("%s %.40s: %d %q, want 400 naming %s", path, tc.body, rec.Code, resp.Error, tc.field)
+			}
+		}
+	}
+	if got := counter("serve.registry.result_misses") - results; got != 0 {
+		t.Errorf("rejected tick counts missed the result cache %d times", got)
+	}
+	if got := counter("serve.registry.problem_misses") - problems; got != 0 {
+		t.Errorf("rejected tick counts built %d problems", got)
+	}
+	// The whole window is still a valid Tf.
+	for path, prefix := range prefixes {
+		body := prefix + fmt.Sprintf(`"future":%d}`, window)
+		if rec := postJSON(t, srv.Handler(), path, body); rec.Code != http.StatusOK {
+			t.Errorf("%s future=%d: %d %s, want 200", path, window, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestExecutionFieldsRejected: a request cannot choose how the server
 // solves. Execution knobs are unknown fields — 400 naming the field — and
 // in particular a huge worker count spawns nothing.
