@@ -91,11 +91,15 @@ race:
 # cache files, disk latency, mid-fit cancellation, reload under fire, and
 # the streaming-ingestion seams (torn epoch logs, replayed epochs,
 # refit-mid-stream failures) — driven through internal/faults and run
-# under the race detector.
+# under the race detector. Then each fuzz target over bytes read from disk
+# (epoch-log recovery, the model-cache codec) runs for 10 s from its seed
+# corpus: short, so every CI run fuzzes each decoder a little.
 chaos:
 	$(GO) test -race ./internal/faults
 	$(GO) test -race ./internal/ingest
 	$(GO) test -race -run 'Chaos|Reload|EpochFlush|Detached|RegistryClose|Ingest|Observe|Epoch' ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/modelcache
 
 # Formatting + static analysis. gofmt failures print the offending files and
 # fail; staticcheck runs when installed (CI installs it; local dev without

@@ -196,22 +196,25 @@ type Algorithm string
 
 // The implemented algorithms (Section 6.1 plus two extensions).
 const (
-	// Greedy is the greedy baseline of Dong et al.: an exact full scan of
-	// every candidate's marginal gain each round.
+	// Greedy is the greedy baseline of Dong et al.: each round adds the
+	// candidate with the best marginal profit. On the gains the paper
+	// proves submodular (linear coverage or global freshness, and the data
+	// gain) it runs CELF: after the first round it re-probes only the stale
+	// marginal gains that could still beat the round's pick, with a
+	// rounding slack that keeps the answer bit-identical to a full scan
+	// (DESIGN.md §5d), so only OracleCalls shrinks. Other gains scan every
+	// candidate each round.
 	Greedy Algorithm = "greedy"
 	// MaxSub is the submodular local search of Section 5 — Algorithm 1 for
 	// unconstrained problems, Algorithms 2–3 under matroid constraints.
+	// Algorithm 1's add moves are Greedy's picks and share its CELF engine
+	// until a delete move.
 	MaxSub Algorithm = "maxsub"
 	// GRASP is the randomized multi-start baseline of Dong et al.
 	GRASP Algorithm = "grasp"
-	// LazyGreedy is CELF, the lazy greedy: it re-probes only the top of a
-	// max-heap of stale marginal gains, at a fraction of Greedy's oracle
-	// calls. It selects exactly what Greedy does as long as no float
-	// marginal gain rises between rounds; submodularity guarantees that in
-	// exact arithmetic, but rounding can break it by a few ulps
-	// (DESIGN.md §5d), which is why Greedy stays the full scan. Only its
-	// first, singleton sweep fans across Workers; the re-probes run one at
-	// a time.
+	// LazyGreedy names CELF, the lazy greedy, which Greedy already runs
+	// wherever it is exact. It stays an accepted name and runs Greedy:
+	// same Selection, OracleCalls included.
 	LazyGreedy Algorithm = "lazygreedy"
 	// Budgeted is the cost-benefit greedy for tight βc budgets (ratio
 	// greedy + best-singleton fallback).
@@ -279,6 +282,15 @@ func (o matroidOracle) Feasible(set []int) bool {
 	return o.Profit.Feasible(set) && matroid.AllIndependent(o.ms, set)
 }
 
+// oracle returns the problem's selection oracle: its profit, with the
+// divisors' matroid constraints folded into Feasible when it has any.
+func (p *Problem) oracle() selection.IncrementalOracle {
+	if len(p.ms) > 0 {
+		return matroidOracle{Profit: p.profit, ms: p.ms}
+	}
+	return p.profit
+}
+
 // Solve runs the chosen algorithm on the problem.
 func (p *Problem) Solve(alg Algorithm, opt SolveOptions) (*Selection, error) {
 	return p.SolveContext(context.Background(), alg, opt)
@@ -292,10 +304,7 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 	opt = opt.withDefaults()
 	n := p.Trained.NumCandidates()
 
-	var oracle selection.Oracle = p.profit
-	if len(p.ms) > 0 {
-		oracle = matroidOracle{Profit: p.profit, ms: p.ms}
-	}
+	oracle := p.oracle()
 	var sopts []selection.Option
 	if opt.Workers != 0 {
 		sopts = append(sopts, selection.Parallel(opt.Workers))
@@ -306,7 +315,7 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 
 	var res selection.Result
 	switch alg {
-	case Greedy:
+	case Greedy, LazyGreedy:
 		res = selection.Greedy(oracle, n, sopts...)
 	case MaxSub:
 		if len(p.ms) > 0 {
@@ -316,8 +325,6 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 		}
 	case GRASP:
 		res = selection.GRASP(oracle, n, opt.Kappa, opt.Rounds, stats.NewRNG(opt.Seed), sopts...)
-	case LazyGreedy:
-		res = selection.LazyGreedy(oracle, n, sopts...)
 	case Budgeted:
 		res = selection.BudgetedGreedy(oracle, n, func(i int) float64 {
 			return p.Trained.Cost.Cost(i) / p.Trained.Cost.Total()

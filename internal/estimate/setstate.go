@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"freshsource/internal/bitset"
@@ -189,6 +190,28 @@ func (e *Estimator) QualityMultiState(st *SetState, ts []timeline.Tick) []Qualit
 	}
 	e.putScratch(scratch)
 	return out
+}
+
+// Inert reports whether candidate x can never change an estimate: it holds
+// nothing at t0 (empty signatures, zero coverage) and every effectiveness
+// term it would fold in is zero, so each of its miss factors is exactly 1.
+// QualityMultiAdd(st, x, ts) then equals QualityMultiState(st, ts) bit for
+// bit for every state: the same floats in the same order.
+func (e *Estimator) Inert(x int) bool {
+	c := e.cands[x]
+	p := c.Profile
+	if p.CoverageT0 != 0 || p.B.Any() || p.Bcov.Any() || p.Bup.Any() {
+		return false
+	}
+	if !slices.Contains(c.covers, true) {
+		return true
+	}
+	for _, g := range c.gi {
+		if g != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // QualityMultiAdd estimates the quality of st's set ∪ {x} at the given

@@ -380,13 +380,19 @@ func (p *Profit) profitOf(qs []estimate.QualityEstimate, cost float64) float64 {
 
 // ProfitState caches a set's estimation state and cost sum so that
 // single-candidate additions — the probe of every greedy-style sweep — are
-// evaluated incrementally. Build with BeginAdd, probe with ValueAdd; the
-// state is immutable and safe to share across concurrent probes.
+// evaluated incrementally. Build with BeginAdd, probe with ValueAdd. The
+// set's estimation state and cost are fixed by BeginAdd; the one field
+// filled later, the set's own value, is written once under a sync.Once,
+// so the state is safe to share across concurrent probes.
 type ProfitState struct {
 	st *estimate.SetState
 	// cost is the set's unscaled additive cost, accumulated in set order so
 	// the incremental sum is bit-identical to SetCost(append(set, x)).
 	cost float64
+	// own is the value of the state's set itself, computed on the first
+	// probe of an inert candidate (see ValueAdd).
+	ownOnce sync.Once
+	own     float64
 }
 
 // BeginAdd caches the evaluation state of set for subsequent ValueAdd
@@ -403,10 +409,21 @@ func (p *Profit) BeginAdd(set []int) any {
 // contribution on the cached signatures instead of re-unioning the set. It
 // counts as one oracle call, like the Value evaluation it replaces, and
 // returns a bit-identical result. x must not be in the state's set.
+//
+// An inert candidate (estimate.Estimator.Inert, at zero cost) leaves every
+// estimate and the cost unchanged, so its probe returns the set's own
+// value, computed once per state: the same bits the full probe would
+// produce.
 func (p *Profit) ValueAdd(state any, x int) float64 {
 	st := state.(*ProfitState)
 	p.calls.Add(1)
 	obs.Counter("gain.profit.value_add_calls").Inc()
+	if p.Est.Inert(x) && (p.Cost == nil || p.Cost.Cost(x) == 0) {
+		st.ownOnce.Do(func() {
+			st.own = p.profitOf(p.Est.QualityMultiState(st.st, p.Ticks), st.cost)
+		})
+		return st.own
+	}
 	bp, _ := p.probeBuf.Get().(*[]estimate.QualityEstimate)
 	if bp == nil {
 		bp = new([]estimate.QualityEstimate)
@@ -438,6 +455,12 @@ func (p *Profit) AvgMetric(set []int, m Metric) float64 {
 	}
 	return v / float64(len(qs))
 }
+
+// Submodular reports whether the profit is submodular, which holds exactly
+// when the gain is: the cost term is additive, and SetWeights admits only
+// non-negative weights. Greedy and MaxSub's add moves probe lazily (CELF)
+// when it returns true.
+func (p *Profit) Submodular() bool { return p.Gain.Submodular() }
 
 // Feasible reports whether the set respects the budget.
 func (p *Profit) Feasible(set []int) bool {

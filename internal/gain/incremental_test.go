@@ -1,8 +1,13 @@
 package gain
 
 import (
+	"context"
+	"math"
+	"slices"
 	"testing"
 
+	"freshsource/internal/dataset"
+	"freshsource/internal/estimate"
 	"freshsource/internal/timeline"
 )
 
@@ -78,5 +83,51 @@ func TestProfitValueAddZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { p.ValueAdd(st, 1) }); avg != 0 {
 		t.Errorf("warm ValueAdd allocates %v per run, want 0", avg)
+	}
+}
+
+// TestProfitValueAddInertCandidates: on a GDELT-like world where many
+// sources hold nothing at T0, ValueAdd short-cuts each inert candidate to
+// the set's own value. Every probe, inert or not, stays bit-identical to
+// the full evaluation.
+func TestProfitValueAddInertCandidates(t *testing.T) {
+	cfg := dataset.DefaultGDELTConfig()
+	cfg.Locations, cfg.EventTypes, cfg.NumSources = 4, 2, 120
+	d, err := dataset.GenerateGDELT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := estimate.NewFit(context.Background(), d.World, d.Sources, d.T0, d.Horizon()-1, nil, estimate.FitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := NewSharedItemCost(e, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProfit(e, []timeline.Tick{d.T0 + 1, d.T0 + 4, d.Horizon() - 1}, Linear{Metric: Coverage}, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := e.NumCandidates()
+	inert := 0
+	for x := 0; x < n; x++ {
+		if e.Inert(x) {
+			inert++
+		}
+	}
+	if inert == 0 || inert == n {
+		t.Fatalf("%d of %d candidates inert; the fixture needs both kinds", inert, n)
+	}
+	for _, set := range [][]int{nil, {5}, {5, 17, 3}} {
+		st := p.BeginAdd(set)
+		for x := 0; x < n; x++ {
+			if slices.Contains(set, x) {
+				continue
+			}
+			if got, want := p.ValueAdd(st, x), p.Value(append(slices.Clone(set), x)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("ValueAdd(%v, %d) = %v, Value = %v (inert %v)", set, x, got, want, e.Inert(x))
+			}
+		}
 	}
 }

@@ -22,6 +22,7 @@ package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -39,6 +40,12 @@ const logName = "epochs.log"
 // logMagic identifies the file format; a mismatch is corruption of the
 // header, which recovery treats as fatal (unlike a torn tail).
 var logMagic = []byte("FSEPOCH1")
+
+// ErrCorrupt reports an epoch log that recovery refuses rather than
+// truncates: a bad header, a sequence gap, or one sequence number carried
+// by two different payloads. A torn tail is not an error; recovery cuts it
+// off.
+var ErrCorrupt = errors.New("ingest: corrupt epoch log")
 
 // maxFrame bounds a frame payload; a length prefix beyond it is treated as
 // a torn/corrupt tail rather than attempted as an allocation.
@@ -114,7 +121,7 @@ func (l *Log) recover() ([]EpochRecord, error) {
 		return nil, l.f.Sync()
 	}
 	if len(data) < len(logMagic) || string(data[:len(logMagic)]) != string(logMagic) {
-		return nil, fmt.Errorf("ingest: %s: bad magic (not an epoch log)", l.path)
+		return nil, fmt.Errorf("%w: %s: bad magic (not an epoch log)", ErrCorrupt, l.path)
 	}
 
 	var recs []EpochRecord
@@ -154,14 +161,14 @@ func (l *Log) recover() ([]EpochRecord, error) {
 			// frame would silently drop the observations in the others, so
 			// recovery treats it as corruption.
 			if rec.Seq == 0 || sum != sums[rec.Seq-1] {
-				return nil, fmt.Errorf("ingest: %s: epoch %d appears twice with different payloads", l.path, rec.Seq)
+				return nil, fmt.Errorf("%w: %s: epoch %d appears twice with different payloads", ErrCorrupt, l.path, rec.Seq)
 			}
 			l.Replayed++
 			obs.Counter("ingest.log.replayed").Inc()
 			continue
 		}
 		if rec.Seq != lastSeq+1 {
-			return nil, fmt.Errorf("ingest: %s: epoch gap: %d -> %d", l.path, lastSeq, rec.Seq)
+			return nil, fmt.Errorf("%w: %s: epoch gap: %d -> %d", ErrCorrupt, l.path, lastSeq, rec.Seq)
 		}
 		lastSeq = rec.Seq
 		sums = append(sums, sum)

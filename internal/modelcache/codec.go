@@ -311,6 +311,20 @@ func (d *decoder) u64(what string) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// flag reads a boolean byte. Only the 0 and 1 the encoder writes are
+// accepted, so every file that loads re-encodes to the same bytes.
+func (d *decoder) flag(what string) bool {
+	switch b := d.u8(what); b {
+	case 0, 1:
+		return b == 1
+	default:
+		if d.err == nil {
+			d.err = fmt.Errorf("bad %s byte %d", what, b)
+		}
+		return false
+	}
+}
+
 func (d *decoder) i64(what string) int64   { return int64(d.u64(what)) }
 func (d *decoder) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
 func (d *decoder) tick(what string) timeline.Tick {
@@ -436,12 +450,12 @@ func (d *decoder) fitted() *estimate.Fitted {
 		for k := 0; k < nDelays && d.err == nil; k++ {
 			c.InsertDelays = append(c.InsertDelays, stats.Duration{
 				Value:    d.f64("delay value"),
-				Censored: d.u8("delay censored") != 0,
+				Censored: d.flag("delay censored"),
 			})
 		}
 		nCovers := d.count(1, "covers")
 		for k := 0; k < nCovers && d.err == nil; k++ {
-			c.Covers = append(c.Covers, d.u8("cover flag") != 0)
+			c.Covers = append(c.Covers, d.flag("cover flag"))
 		}
 		f.Candidates = append(f.Candidates, c)
 	}

@@ -36,7 +36,7 @@ func testDataset(t testing.TB) *dataset.Dataset {
 	return d
 }
 
-func fitAndExport(t *testing.T, d *dataset.Dataset) *estimate.Fitted {
+func fitAndExport(t testing.TB, d *dataset.Dataset) *estimate.Fitted {
 	t.Helper()
 	est, err := estimate.NewFit(context.Background(), d.World, d.Sources, d.T0,
 		d.World.Horizon()-1, nil, estimate.FitOptions{Workers: 1})

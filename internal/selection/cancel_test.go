@@ -45,8 +45,9 @@ func runAllCtx(f Oracle, n int, ctx context.Context, extra ...Option) []Result {
 		MaxSub(f, n, 0.05, opts...),
 		MatroidMax(f, n, []matroid.Matroid{pm}, 0.05, opts...),
 		GRASP(f, n, 3, 5, stats.NewRNG(42), opts...),
-		LazyGreedy(f, n, opts...),
+		Greedy(lazy(f), n, opts...),
 		BudgetedGreedy(f, n, func(i int) float64 { return float64(i%4) + 1 }, opts...),
+		MaxSub(lazy(f), n, 0.05, opts...),
 	}
 }
 
@@ -90,7 +91,7 @@ func TestCancelMidRunConsistency(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, limit := range []int64{1, 2, 5, 17, 60, 250} {
 			plain := randomWC(24, seed)
-			for alg := 0; alg < 6; alg++ {
+			for alg := range algNames {
 				ctx, cancel := context.WithCancel(context.Background())
 				o := &cancelAfter{inner: plain, cancel: cancel, limit: limit}
 				res := runAlgCtx(alg, o, 24, ctx)
@@ -118,7 +119,7 @@ func TestCancelMidRunParallel(t *testing.T) {
 	const n = 64
 	plain := randomWC(n, 7)
 	for _, limit := range []int64{3, 40, 400} {
-		for alg := 0; alg < 6; alg++ {
+		for alg := range algNames {
 			ctx, cancel := context.WithCancel(context.Background())
 			o := &cancelAfter{inner: plain, cancel: cancel, limit: limit}
 			before := batches.Value()
@@ -159,9 +160,11 @@ func runAlgCtx(alg int, f Oracle, n int, ctx context.Context, extra ...Option) R
 	case 3:
 		return GRASP(f, n, 3, 5, stats.NewRNG(42), opts...)
 	case 4:
-		return LazyGreedy(f, n, opts...)
+		return Greedy(lazy(f), n, opts...)
 	case 5:
 		return BudgetedGreedy(f, n, func(i int) float64 { return float64(i%4) + 1 }, opts...)
+	case 6:
+		return MaxSub(lazy(f), n, 0.05, opts...)
 	}
 	panic("bad alg")
 }

@@ -93,6 +93,14 @@ func (c *CountingOracle) valueAdd(state any, x int) float64 {
 	return c.inner.(IncrementalOracle).ValueAdd(state, x)
 }
 
+// Submodular forwards the wrapped oracle's SubmodularOracle report, so
+// wrapping never hides (or invents) submodularity; oracles without the
+// method report false.
+func (c *CountingOracle) Submodular() bool {
+	s, ok := c.inner.(SubmodularOracle)
+	return ok && s.Submodular()
+}
+
 // Calls returns the number of Value evaluations so far.
 func (c *CountingOracle) Calls() int { return int(c.value.Load()) }
 

@@ -24,9 +24,10 @@ func TestCountingWithoutOracleCounter(t *testing.T) {
 	// OracleCalls == 0; now every algorithm counts exactly.
 	o := dumbOracle{vals: map[int]float64{0: 1, 1: 0.5, 2: 0.25}}
 	for name, r := range map[string]Result{
-		"greedy":     Greedy(o, 3),
-		"maxsub":     MaxSub(o, 3, 0.1),
-		"lazygreedy": LazyGreedy(o, 3),
+		"greedy":      Greedy(o, 3),
+		"maxsub":      MaxSub(o, 3, 0.1),
+		"greedy/lazy": Greedy(lazy(o), 3),
+		"maxsub/lazy": MaxSub(lazy(o), 3, 0.1),
 	} {
 		if r.OracleCalls <= 0 {
 			t.Errorf("%s: OracleCalls = %d, want > 0 for a counter-less oracle", name, r.OracleCalls)

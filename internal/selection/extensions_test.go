@@ -8,12 +8,12 @@ import (
 )
 
 func TestLazyGreedyMatchesGreedyOnSubmodular(t *testing.T) {
-	// Weighted coverage minus additive cost is submodular: lazy greedy must
-	// match plain greedy's value, with no more oracle calls.
+	// Weighted coverage minus additive cost is submodular: Greedy's lazy
+	// path must match its full scan.
 	o1 := simpleOracle()
 	g := Greedy(o1, 3)
 	o2 := simpleOracle()
-	l := LazyGreedy(o2, 3)
+	l := Greedy(lazy(o2), 3)
 	if math.Abs(g.Value-l.Value) > 1e-12 {
 		t.Errorf("lazy %v != greedy %v", l.Value, g.Value)
 	}
@@ -24,7 +24,8 @@ func TestLazyGreedyMatchesGreedyOnSubmodular(t *testing.T) {
 
 func TestLazyGreedyFewerCallsOnLargeInstance(t *testing.T) {
 	// Many candidates with disjoint coverage: after the first round most
-	// stale marginals stay exact, so lazy greedy saves calls.
+	// stale marginals stay exact, so the lazy path saves calls over the
+	// full scan.
 	build := func() *coverOracle {
 		o := &coverOracle{}
 		for i := 0; i < 60; i++ {
@@ -37,7 +38,7 @@ func TestLazyGreedyFewerCallsOnLargeInstance(t *testing.T) {
 	og := build()
 	g := Greedy(og, 60)
 	ol := build()
-	l := LazyGreedy(ol, 60)
+	l := Greedy(lazy(ol), 60)
 	if math.Abs(g.Value-l.Value) > 1e-9 {
 		t.Fatalf("values differ: %v vs %v", g.Value, l.Value)
 	}
@@ -47,8 +48,8 @@ func TestLazyGreedyFewerCallsOnLargeInstance(t *testing.T) {
 }
 
 func TestLazyGreedyQuickEquivalence(t *testing.T) {
-	// Property: on random weighted-coverage instances (submodular), lazy
-	// greedy's value equals plain greedy's.
+	// Property: on random weighted-coverage instances (submodular), the
+	// lazy path's value equals the full scan's.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(10)
@@ -69,7 +70,7 @@ func TestLazyGreedyQuickEquivalence(t *testing.T) {
 		}
 		o2 := &coverOracle{covers: o1.covers, weights: o1.weights, costs: o1.costs}
 		g := Greedy(o1, n)
-		l := LazyGreedy(o2, n)
+		l := Greedy(lazy(o2), n)
 		return math.Abs(g.Value-l.Value) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -79,7 +80,7 @@ func TestLazyGreedyQuickEquivalence(t *testing.T) {
 
 func TestLazyGreedyEmpty(t *testing.T) {
 	o := simpleOracle()
-	r := LazyGreedy(o, 0)
+	r := Greedy(lazy(o), 0)
 	if len(r.Set) != 0 {
 		t.Errorf("set = %v", r.Set)
 	}

@@ -3,6 +3,7 @@ package selection
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,10 +89,10 @@ func TestSweepPoolCloseIdempotent(t *testing.T) {
 	p.close() // never started
 
 	p = newSweepPool(4)
-	n := 0
-	p.run(200, nil, func(i int) { n++ })
-	if n != 200 {
-		t.Fatalf("pool evaluated %d of 200 moves", n)
+	var n atomic.Int64
+	p.run(200, nil, func(i int) { n.Add(1) })
+	if n.Load() != 200 {
+		t.Fatalf("pool evaluated %d of 200 moves", n.Load())
 	}
 	p.close()
 	p.close() // idempotent

@@ -21,14 +21,11 @@ func requireSameRun(t *testing.T, label string, want, got Result) {
 }
 
 // TestScaleDeterminism pins the CELF contract at a paper-ish candidate
-// count on an integer-weighted coverage fixture: every value is an exact
-// float, so marginal gains never rise between rounds and LazyGreedy
-// returns exactly plain Greedy's selection — same set, bit-identical
-// value — with strictly fewer oracle calls. (Where rounding lifts a gain
-// above its stale bound the two may order near-ties differently; see
-// LazyGreedy.) Both algorithms are then byte-identical across worker
-// counts 1/2/4/8, OracleCalls included. -short trims the instance so the
-// -race run stays cheap.
+// count on an integer-weighted coverage fixture: Greedy's lazy path
+// returns exactly its full scan's selection — same set, bit-identical
+// value — with strictly fewer oracle calls. Both paths are then
+// byte-identical across worker counts 1/2/4/8, OracleCalls included.
+// -short trims the instance so the -race run stays cheap.
 func TestScaleDeterminism(t *testing.T) {
 	n := 1200
 	if testing.Short() {
@@ -44,22 +41,22 @@ func TestScaleDeterminism(t *testing.T) {
 	if len(greedy.Set) == 0 {
 		t.Fatal("greedy selected nothing")
 	}
-	lazy := LazyGreedy(o, n)
-	requireSameSelection(t, "celf vs greedy", greedy, lazy)
-	if lazy.OracleCalls >= greedy.OracleCalls {
-		t.Errorf("celf spent %d oracle calls, want fewer than greedy's %d",
-			lazy.OracleCalls, greedy.OracleCalls)
+	celf := Greedy(lazy(o), n)
+	requireSameSelection(t, "celf vs full scan", greedy, celf)
+	if celf.OracleCalls >= greedy.OracleCalls {
+		t.Errorf("celf spent %d oracle calls, want fewer than the full scan's %d",
+			celf.OracleCalls, greedy.OracleCalls)
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		requireSameRun(t, "greedy across workers", greedy, Greedy(o, n, Parallel(workers)))
-		requireSameRun(t, "celf across workers", lazy, LazyGreedy(o, n, Parallel(workers)))
+		requireSameRun(t, "celf across workers", celf, Greedy(lazy(o), n, Parallel(workers)))
 	}
 }
 
 // requireSameSelection asserts got selects exactly want's set with a
-// bit-identical value (oracle-call counts may differ — CELF against
-// Greedy).
+// bit-identical value (oracle-call counts may differ — CELF against the
+// full scan).
 func requireSameSelection(t *testing.T, label string, want, got Result) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Set, got.Set) {

@@ -3,11 +3,15 @@
 // paper compares against:
 //
 //   - Greedy: the marginal-gain greedy of Dong et al. — iteratively add the
-//     candidate that most improves profit until no addition improves.
+//     candidate that most improves profit until no addition improves. On
+//     oracles that report submodularity it runs CELF (lazy evaluation of
+//     stale marginal gains, Leskovec et al.) with a rounding slack that
+//     keeps its answer bit-identical to the full scan; see addEngine.
 //   - MaxSub (Algorithm 1): the Feige–Mirrokni local search for maximizing
 //     a (possibly non-monotone) submodular function, with add and delete
 //     moves gated by the (1+ε/n²) improvement threshold, returning the
-//     better of the local optimum and its complement.
+//     better of the local optimum and its complement. Its add moves run on
+//     Greedy's engine, lazily until a delete.
 //   - MatroidLocalSearch / MatroidMax (Algorithms 3 and 2): the Lee et al.
 //     local search under k matroid constraints with delete and exchange
 //     moves gated by (1+ε/n⁴), run k+1 times on shrinking ground sets.
@@ -28,8 +32,8 @@
 // historical scan order (ties resolve to the lowest-index move), and
 // incremental probes are bit-identical to full evaluations, so accelerated
 // runs return byte-identical Results to the plain sequential path. The
-// same holds for LazyGreedy, whose CELF loop pools only the singleton
-// sweep and then walks one heap sequentially.
+// same holds for the CELF path, which pools only its full sweeps and walks
+// its heap of stale gains sequentially between them.
 package selection
 
 import (
@@ -51,7 +55,8 @@ var ErrCanceled = errors.New("selection: run canceled")
 
 // Oracle is the profit value oracle f and the feasibility predicate (the
 // budget constraint of Definitions 3–5). Implementations must be safe for
-// concurrent calls when used with the Parallel option.
+// concurrent calls when used with the Parallel option, and must not retain
+// the set slice past the call: callers may reuse it.
 type Oracle interface {
 	Value(set []int) float64
 	Feasible(set []int) bool
@@ -158,46 +163,32 @@ func grow[T any](s []T, n int) []T {
 
 // Greedy is the greedy baseline of Dong et al.: starting from the empty
 // set, repeatedly add the feasible candidate with the best positive
-// marginal profit; stop when no addition improves.
+// marginal profit (the highest f(S ∪ {x}), lowest index on ties); stop
+// when no addition improves. When the oracle reports submodularity
+// (SubmodularOracle) the rounds after the first probe lazily (CELF, see
+// addEngine) and return the full scan's exact Set and Value at a fraction
+// of its oracle calls; otherwise every round scans every candidate.
 func Greedy(f Oracle, n int, opts ...Option) Result {
 	co, rt := traceRun(f, "greedy")
 	adds := obs.Counter("selection.greedy.adds")
 	ev := newEvaluator(opts)
 	defer ev.close()
+	eng := newAddEngine(co, ev, n)
 	var set []int
 	member := bitset.New(n)
 	cur := co.Value(set)
-	vals := make([]float64, n)
-	ok := make([]bool, n)
 	for {
-		probe := beginAdds(co, set)
-		ev.sweep(n, func(x int) {
-			ok[x] = false
-			if member.Contains(x) {
-				return
-			}
-			cand := with(set, x)
-			if !co.Feasible(cand) {
-				return
-			}
-			vals[x] = probe.value(cand, x)
-			ok[x] = true
-		})
+		x, v := eng.next(set, member, cur)
 		if ev.canceled() {
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
-		bestIdx, bestVal := -1, cur
-		for x := 0; x < n; x++ {
-			if ok[x] && vals[x] > bestVal {
-				bestIdx, bestVal = x, vals[x]
-			}
-		}
-		if bestIdx < 0 {
+		if x < 0 {
 			break
 		}
-		set = with(set, bestIdx)
-		member.Add(bestIdx)
-		cur = bestVal
+		eng.take()
+		set = with(set, x)
+		member.Add(x)
+		cur = v
 		adds.Inc()
 	}
 	return rt.finish(set, cur)
@@ -216,7 +207,10 @@ func improves(newV, curV, eps, denom float64) bool {
 }
 
 // MaxSub is Algorithm 1 of the paper (Feige & Mirrokni local search). eps
-// is the approximation slack ε; the thresholds use ε/n².
+// is the approximation slack ε; the thresholds use ε/n². Its add move is
+// Greedy's pick gated by the threshold, so it runs on Greedy's add engine:
+// lazily on submodular oracles, with the singleton sweep seeding the heap,
+// until a delete move forces a fresh sweep.
 func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 	co, rt := traceRun(f, "maxsub")
 	moves := obs.Counter("selection.maxsub.moves")
@@ -225,50 +219,44 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 	}
 	ev := newEvaluator(opts)
 	defer ev.close()
+	eng := newAddEngine(co, ev, n)
 	denom := float64(n) * float64(n)
 
-	// Ln. 3: best feasible singleton.
-	set, cur := bestSingleton(co, n, ev)
+	// Ln. 3: best feasible singleton. On the lazy path the sweep's gains
+	// over f(∅) become the heap's first bounds.
+	var empty float64
+	if eng.lazy {
+		empty = co.Value(nil)
+	}
+	eng.sweep(nil, nil, empty)
 	if ev.canceled() {
 		return rt.finishErr(nil, co.Value(nil), ErrCanceled)
 	}
-	if set == nil {
-		return rt.finish(nil, co.Value(nil))
+	x, cur := eng.top()
+	if x < 0 {
+		if !eng.lazy {
+			empty = co.Value(nil)
+		}
+		return rt.finish(nil, empty)
 	}
+	eng.take()
+	set := []int{x}
 	member := members(n, set)
 
 	// Ln. 4–10: local add/delete moves.
 	vals := make([]float64, n)
-	ok := make([]bool, n)
 	cands := make([][]int, n)
 	for {
 		moved := false
-		// Addition sweep.
-		probe := beginAdds(co, set)
-		ev.sweep(n, func(x int) {
-			ok[x] = false
-			if member.Contains(x) {
-				return
-			}
-			cand := with(set, x)
-			if !co.Feasible(cand) {
-				return
-			}
-			vals[x] = probe.value(cand, x)
-			ok[x] = true
-		})
+		// Addition: the best addition, if it clears the threshold.
+		x, v := eng.next(set, member, cur)
 		if ev.canceled() {
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
-		bestIdx, bestVal := -1, cur
-		for x := 0; x < n; x++ {
-			if ok[x] && improves(vals[x], cur, eps, denom) && vals[x] > bestVal {
-				bestIdx, bestVal = x, vals[x]
-			}
-		}
-		if bestIdx >= 0 {
-			set, cur = with(set, bestIdx), bestVal
-			member.Add(bestIdx)
+		if x >= 0 && improves(v, cur, eps, denom) {
+			eng.take()
+			set, cur = with(set, x), v
+			member.Add(x)
 			moved = true
 			moves.Inc()
 		}
@@ -284,7 +272,7 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
 		bestI := -1
-		bestVal = cur
+		bestVal := cur
 		for i := 0; i < m; i++ {
 			if improves(vals[i], cur, eps, denom) && vals[i] > bestVal {
 				bestI, bestVal = i, vals[i]
@@ -293,6 +281,7 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 		if bestI >= 0 {
 			member.Remove(set[bestI])
 			set, cur = cands[bestI], bestVal
+			eng.invalidate()
 			moved = true
 			moves.Inc()
 		}

@@ -34,9 +34,9 @@ type Option func(*Options)
 // path either way: every move's value lands at a fixed index and the
 // argmax reduction runs sequentially in the original scan order, so ties
 // always resolve to the lowest-index move and oracle-call counts are
-// unchanged. LazyGreedy fans out only its singleton sweep; its stale
-// recomputes stay sequential, so it too returns the same Result at any
-// worker count.
+// unchanged. On the lazy (CELF) path only the full sweeps fan out; the
+// stale re-probes between them stay sequential, so it too returns the same
+// Result at any worker count.
 //
 // Parallel sweeps require the oracle's Value/Feasible (and ValueAdd, when
 // implemented) to be safe for concurrent calls; Profit and CountingOracle

@@ -443,10 +443,17 @@ func (s *Server) computeQuality(gen *generation, req QualityRequest, ticks []tim
 	if err != nil {
 		return solveErrorBody(err)
 	}
+	// Distinct, in-range entries cap the set at the candidate count: a
+	// repeat would fold the candidate into the covering lists again.
+	seen := make([]bool, tr.NumCandidates())
 	for _, i := range req.Set {
 		if i < 0 || i >= tr.NumCandidates() {
-			return errorBody(http.StatusBadRequest, "candidate %d outside [0, %d)", i, tr.NumCandidates())
+			return errorBody(http.StatusBadRequest, "set: candidate %d outside [0, %d)", i, tr.NumCandidates())
 		}
+		if seen[i] {
+			return errorBody(http.StatusBadRequest, "set: candidate %d repeats", i)
+		}
+		seen[i] = true
 	}
 	st, tr, err := gen.reg.State(ctx, req.Divisors, req.Set)
 	if err != nil {

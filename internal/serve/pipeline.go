@@ -42,9 +42,14 @@ func LoadDataset(load, kind string, scale float64, seed int64) (*dataset.Dataset
 
 // SpreadTicks returns n future time points of interest evenly spread over
 // (t0, horizon−1], the Tf layout of freshselect and the paper's
-// experiments.
+// experiments. n is clamped to the window's horizon−1−t0 ticks, so the
+// points stay distinct and after t0 (the clamped layout is every tick of
+// the window); for n within the window the layout is unchanged.
 func SpreadTicks(t0, horizon timeline.Tick, n int) []timeline.Tick {
 	span := horizon - 1 - t0
+	if n > int(span) {
+		n = max(int(span), 0)
+	}
 	out := make([]timeline.Tick, 0, n)
 	for i := 1; i <= n; i++ {
 		out = append(out, t0+span*timeline.Tick(i)/timeline.Tick(n))

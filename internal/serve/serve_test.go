@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -373,6 +374,84 @@ func TestTicksBounded(t *testing.T) {
 		if rec := postJSON(t, srv.Handler(), path, body); rec.Code != http.StatusOK {
 			t.Errorf("%s future=%d: %d %s, want 200", path, window, rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// TestQualitySetRepeats: a quality set that repeats a candidate is
+// refused with 400 naming set. Each repeat would fold the candidate into
+// the covering lists again, skewing the estimate and growing the work
+// about quadratically, so a long run of repeats is refused just as fast.
+func TestQualitySetRepeats(t *testing.T) {
+	srv := newServer(t, Config{})
+	defer srv.Close()
+	many := "3" + strings.Repeat(",3", 20000)
+	for _, set := range []string{"3,3", "3,3,3,3", "0,3,1,3", many} {
+		rec := postJSON(t, srv.Handler(), "/v1/quality", `{"set":[`+set+`],"ticks":[130,150]}`)
+		var resp errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("set [%.20s]: error body %q: %v", set, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.HasPrefix(resp.Error, "set:") {
+			t.Errorf("set [%.20s]: %d %q, want 400 naming set", set, rec.Code, resp.Error)
+		}
+	}
+	if rec := postJSON(t, srv.Handler(), "/v1/quality", `{"set":[3,0,1],"ticks":[130,150]}`); rec.Code != http.StatusOK {
+		t.Errorf("distinct set: %d %s, want 200", rec.Code, rec.Body.String())
+	}
+}
+
+// TestDefaultTicksInsideWindow: a request naming neither ticks nor future
+// on a tenant whose window is shorter than DefaultFuture is evaluated at
+// distinct ticks after T0 — every tick of the window — on both endpoints.
+func TestDefaultTicksInsideWindow(t *testing.T) {
+	cfg := dataset.DefaultGDELTConfig()
+	cfg.Locations, cfg.EventTypes, cfg.NumSources, cfg.Scale = 4, 2, 12, 0.3
+	d, err := dataset.GenerateGDELT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(d, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	window := int(d.Horizon() - 1 - d.T0)
+	if window >= 10 {
+		t.Fatalf("window %d does not undercut DefaultFuture", window)
+	}
+	for path, body := range map[string]string{"/v1/select": `{}`, "/v1/quality": `{"set":[0]}`} {
+		rec := postJSON(t, srv.Handler(), path, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Ticks []int64 `json:"ticks"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Ticks) != window {
+			t.Errorf("%s: ticks %v, want the %d ticks of the window", path, resp.Ticks, window)
+		}
+		for i, tk := range resp.Ticks {
+			if tk <= int64(d.T0) || (i > 0 && tk <= resp.Ticks[i-1]) {
+				t.Errorf("%s: ticks %v, want distinct ascending ticks after T0=%d", path, resp.Ticks, d.T0)
+				break
+			}
+		}
+	}
+}
+
+func TestSpreadTicksClamped(t *testing.T) {
+	if got, want := SpreadTicks(15, 22, 10), []timeline.Tick{16, 17, 18, 19, 20, 21}; !slices.Equal(got, want) {
+		t.Errorf("SpreadTicks(15, 22, 10) = %v, want %v", got, want)
+	}
+	// Within the window the layout is unchanged.
+	if got, want := SpreadTicks(120, 220, 4), []timeline.Tick{144, 169, 194, 219}; !slices.Equal(got, want) {
+		t.Errorf("SpreadTicks(120, 220, 4) = %v, want %v", got, want)
+	}
+	if got := SpreadTicks(15, 16, 3); len(got) != 0 {
+		t.Errorf("SpreadTicks over an empty window = %v, want none", got)
 	}
 }
 
