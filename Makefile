@@ -21,26 +21,11 @@ BENCH_ALLOC_TOLERANCE = 0.25
 # seconds — use it when refreshing BENCH_selection.json).
 BENCH_SCALE ?= quick
 
-# Allowed fractional slowdown in `make servebench-check`. Even more
-# generous: serving quantiles come from a short live load against a
-# spawned daemon, so the gate only catches order-of-magnitude blowups.
-SERVE_TOLERANCE = 3.0
-
-# Build identity stamped into the binaries ( /healthz and the freshbench
-# run header report it).
+# Build identity stamped into the binaries (/healthz and benchjson
+# reports record it).
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X freshsource/internal/version.Version=$(VERSION) -X freshsource/internal/version.Commit=$(COMMIT)"
-
-# The deterministic serving workload behind servebench / servebench-check.
-# The spawned freshd hosts 4 named tenant worlds (freshbench's default) and
-# the report carries per-tenant p95s alongside the per-endpoint quantiles.
-# observe weights the streaming-ingestion path: the spawned freshd runs 1s
-# epochs and the run drives incremental refits alongside the query load
-# (observe replaces reload — ingestion and snapshot hot reload are
-# mutually exclusive on one server).
-SERVEBENCH_ARGS = -spawn -duration 5s -rps 80 -concurrency 8 -seed 1 \
-	-mix "select=5,quality=3,observe=2,freshness=1"
 
 # GOMAXPROCS for the committed multi-core bench profile. 2 keeps the
 # profile reproducible on small CI runners while still exercising the
@@ -52,7 +37,7 @@ MULTICORE_GOMAXPROCS ?= 2
 # Time tolerance for the multi-core gate. Looser than BENCH_TOLERANCE
 # because shared runners suffer host CPU steal, which swings parallel wall
 # times far more than sequential ones. The gate targets order-of-magnitude
-# parallel-path regressions (like SERVE_TOLERANCE); precise timing
+# parallel-path regressions; precise timing
 # regressions stay gated by bench-check, and allocs/op — deterministic
 # regardless of contention — keep the tight BENCH_ALLOC_TOLERANCE.
 MULTICORE_TOLERANCE ?= 2.0
@@ -72,7 +57,7 @@ MULTICORE_FASTER ?= ScaleCELF/1k/parallel<ScaleCELF/1k/seq,ScaleCELF/15k/paralle
 # require-faster comparison by lottery.
 MULTICORE_BENCHTIME ?= 3s
 
-.PHONY: build vet test race chaos lint cover bench bench-smoke bench-check bench-paper bench-multicore bench-multicore-check servebench servebench-smoke servebench-check bench-harness verify
+.PHONY: build vet test race chaos lint cover bench bench-smoke bench-check bench-paper bench-multicore bench-multicore-check bench-harness verify
 
 build:
 	$(GO) build ./...
@@ -92,14 +77,15 @@ race:
 # the streaming-ingestion seams (torn epoch logs, replayed epochs,
 # refit-mid-stream failures) — driven through internal/faults and run
 # under the race detector. Then each fuzz target over bytes read from disk
-# (epoch-log recovery, the model-cache codec) runs for 10 s from its seed
-# corpus: short, so every CI run fuzzes each decoder a little.
+# (epoch-log recovery, the model-cache codec, snapshot reads) runs for 10 s
+# from its seed corpus: short, so every CI run fuzzes each decoder a little.
 chaos:
 	$(GO) test -race ./internal/faults
 	$(GO) test -race ./internal/ingest
 	$(GO) test -race -run 'Chaos|Reload|EpochFlush|Detached|RegistryClose|Ingest|Observe|Epoch' ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/modelcache
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/snapio
 
 # Formatting + static analysis. gofmt failures print the offending files and
 # fail; staticcheck runs when installed (CI installs it; local dev without
@@ -193,28 +179,6 @@ bench-multicore-check:
 # Scaled-down paper-experiment benches at the repo root.
 bench-paper:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-
-# Serving benchmark: freshbench drives a spawned multi-tenant freshd with
-# the deterministic mixed workload and writes BENCH_serving.json
-# (per-endpoint p50/p95/p99, per-tenant p95s, 429/504/error rates,
-# allocs/request). Refresh the committed baseline with this target after
-# intended serving changes.
-servebench:
-	$(GO) run $(LDFLAGS) ./cmd/freshbench $(SERVEBENCH_ARGS) -out BENCH_serving.json
-
-# Short freshbench passes: CI's compile-and-serve smoke gate. The second
-# run benches through freshgate — two spawned backends behind the
-# consistent-hash routing tier.
-servebench-smoke:
-	$(GO) run $(LDFLAGS) ./cmd/freshbench -spawn -duration 2s -rps 40 -tenants 2 > /dev/null
-	$(GO) run $(LDFLAGS) ./cmd/freshbench -spawn -gate -duration 2s -rps 40 -tenants 2 > /dev/null
-
-# Serving-regression gate: a fresh load run diffed against the committed
-# BENCH_serving.json via the same benchjson -compare used for the solver
-# benchmarks.
-servebench-check:
-	$(GO) run $(LDFLAGS) ./cmd/freshbench $(SERVEBENCH_ARGS) | \
-		$(GO) run $(LDFLAGS) ./cmd/benchjson -compare BENCH_serving.json -tolerance $(SERVE_TOLERANCE)
 
 # The benchmark harness (freshperf/) is a Go module of its own that builds
 # against this checkout through a replace directive, so build/vet/test

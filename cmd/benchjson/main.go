@@ -2,10 +2,7 @@
 // record (the internal/benchfmt schema), computing the speedup of each
 // accelerated variant against its family's "seq" baseline (sub-benchmark
 // naming Family/variant). The root Makefile's bench target pipes the
-// selection benchmarks through it to produce BENCH_selection.json; the
-// servebench target pipes freshbench's bench-format output through it
-// against BENCH_serving.json, whose serving extension (per-endpoint
-// quantiles, error rates) it carries along untouched.
+// selection benchmarks through it to produce BENCH_selection.json.
 //
 // With -compare it additionally diffs the fresh run against a previously
 // committed report and exits non-zero when any shared benchmark slowed
@@ -28,7 +25,6 @@
 //
 //	go test -bench . ./internal/selection | benchjson -out BENCH_selection.json
 //	go test -bench . ./internal/selection | benchjson -compare BENCH_selection.json -tolerance 0.25
-//	freshbench -spawn -duration 5s | benchjson -compare BENCH_serving.json -tolerance 1.0
 package main
 
 import (

@@ -78,7 +78,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request deadline; an expired solve is canceled and answered 504")
 		grace       = flag.Duration("grace", 10*time.Second, "shutdown drain bound for in-flight requests")
 		future      = flag.Int("future", 10, "default number of future time points of interest")
-		cacheSize   = flag.Int("cache-entries", 0, "max entries per registry cache (0 = 4096)")
 		fitWork     = flag.Int("fit.workers", 0, "model-fitting pool size (0 = GOMAXPROCS, 1 = sequential); models are byte-identical at any setting")
 		mcDir       = flag.String("modelcache.dir", "", "persistent model cache directory; a verified entry skips the startup fit (empty = disabled)")
 		maxBody     = flag.Int64("max-body", 1<<20, "request body cap in bytes; oversized POSTs are rejected with 413")
@@ -131,7 +130,6 @@ func main() {
 		RequestTimeout:       *timeout,
 		ShutdownGrace:        *grace,
 		DefaultFuture:        *future,
-		MaxCacheEntries:      *cacheSize,
 		FitWorkers:           *fitWork,
 		ModelCacheDir:        *mcDir,
 		SnapshotDir:          *load,

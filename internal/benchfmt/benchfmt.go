@@ -1,10 +1,7 @@
-// Package benchfmt defines the benchmark report interchange format shared
-// by the perf tooling: cmd/benchjson parses `go test -bench` text into a
-// Report and diffs Reports for the CI regression gate, and cmd/freshbench
-// emits the same schema (extended with a ServingSummary) for the serving
-// load harness, so one `-compare` gate covers both the library microbenches
-// (BENCH_selection.json) and the end-to-end serving latencies
-// (BENCH_serving.json).
+// Package benchfmt defines the benchmark report format of the library
+// microbenchmarks (BENCH_selection.json, BENCH_multicore.json):
+// cmd/benchjson parses `go test -bench` text into a Report and diffs
+// Reports for the CI regression gate.
 package benchfmt
 
 import (
@@ -41,67 +38,11 @@ type Speedup struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// Report is the emitted document. Serving is populated only by freshbench
-// runs; the compare gate ignores it and diffs Benchmarks alone.
+// Report is the emitted document.
 type Report struct {
 	Context    map[string]string `json:"context"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
 	Speedups   []Speedup         `json:"speedups,omitempty"`
-	Serving    *ServingSummary   `json:"serving,omitempty"`
-}
-
-// ServingSummary is the serving-bench extension of the report: one load-
-// harness run against a live freshd, with per-endpoint latency quantiles
-// and outcome rates. The headline latencies are duplicated into
-// Report.Benchmarks (as <Endpoint>/p50 … ns/op entries) so benchjson
-// -compare gates them without knowing this schema.
-type ServingSummary struct {
-	// Target identifies the server under load: its address, dataset,
-	// generation, version and uptime as reported by /healthz.
-	Target map[string]string `json:"target,omitempty"`
-	// Workload echoes the harness configuration: rps, concurrency,
-	// duration, tenants, mix and seed — enough to reproduce the run.
-	Workload map[string]string `json:"workload,omitempty"`
-	// Endpoints summarizes each driven route.
-	Endpoints []EndpointStats `json:"endpoints"`
-	// Tenants summarizes the load per tenant when the target hosts named
-	// worlds (multi-tenant freshd or a freshgate pool). Absent on
-	// single-tenant runs; the compare gate ignores it either way (it diffs
-	// Benchmarks only), so reports with and without it are comparable.
-	Tenants []TenantStats `json:"tenants,omitempty"`
-	// TotalRequests and AllocsPerRequest are whole-run aggregates;
-	// AllocsPerRequest is derived from the server's proc.mallocs gauge
-	// (internal/obs runtime capture) diffed across the run.
-	TotalRequests    int64   `json:"total_requests"`
-	AllocsPerRequest float64 `json:"allocs_per_request"`
-}
-
-// EndpointStats is the outcome of one endpoint under load.
-type EndpointStats struct {
-	Endpoint string `json:"endpoint"`
-	Requests int64  `json:"requests"`
-	// P50/P95/P99 are client-observed latencies in milliseconds.
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	// ErrorRate counts 5xx other than 504; Rate429 and Rate504 the
-	// admission and deadline rejections — all as fractions of Requests.
-	ErrorRate float64 `json:"error_rate"`
-	Rate429   float64 `json:"rate_429"`
-	Rate504   float64 `json:"rate_504"`
-}
-
-// TenantStats is the outcome of one tenant's slice of a multi-tenant load:
-// request volume, client-observed tail latency and error fraction.
-type TenantStats struct {
-	Tenant   string  `json:"tenant"`
-	Requests int64   `json:"requests"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	// ErrorRate counts transport failures and 4xx/5xx other than 429/504,
-	// as a fraction of Requests.
-	ErrorRate float64 `json:"error_rate"`
 }
 
 // Regression is one benchmark that slowed past the tolerance.

@@ -1,7 +1,6 @@
 package benchfmt
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -154,9 +153,9 @@ func TestRequireFaster(t *testing.T) {
 	}
 }
 
-// TestParseFreshbenchLines pins the serving-harness contract: the lines
-// freshbench prints (no -N GOMAXPROCS suffix, one iteration) must parse
-// into comparable benchmarks.
+// TestParseFreshbenchLines pins lines without the -N GOMAXPROCS suffix,
+// which a GOMAXPROCS=1 `go test -bench` run prints: they must parse into
+// comparable benchmarks.
 func TestParseFreshbenchLines(t *testing.T) {
 	rep, err := Parse(strings.NewReader(
 		"BenchmarkServe/select/p50 	 120	 1500000 ns/op\n" +
@@ -311,43 +310,5 @@ func TestSingleCoreSkipsParallel(t *testing.T) {
 	}
 	if len(skipped) != 1 || skipped[0] != "Greedy/parallel+incr" {
 		t.Errorf("skipped: %v", skipped)
-	}
-}
-
-// TestServingRoundTrip pins the BENCH_serving.json schema: a report with a
-// serving extension survives a JSON round trip, and a reader that only
-// knows the base schema (the compare gate) still sees the benchmarks.
-func TestServingRoundTrip(t *testing.T) {
-	rep := Report{
-		Context: map[string]string{"goos": "linux"},
-		Benchmarks: []Benchmark{
-			{Name: "Serve/select/p50", Iterations: 120, NsPerOp: 1.5e6},
-		},
-		Serving: &ServingSummary{
-			Target:   map[string]string{"dataset": "BL", "version": "dev"},
-			Workload: map[string]string{"rps": "50", "seed": "1"},
-			Endpoints: []EndpointStats{{
-				Endpoint: "select", Requests: 120,
-				P50Ms: 1.5, P95Ms: 9.5, P99Ms: 20,
-				Rate429: 0.05,
-			}},
-			TotalRequests:    150,
-			AllocsPerRequest: 812.5,
-		},
-	}
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Serving == nil || back.Serving.Endpoints[0].P95Ms != 9.5 ||
-		back.Serving.AllocsPerRequest != 812.5 {
-		t.Errorf("serving extension did not round-trip: %+v", back.Serving)
-	}
-	if regs, missing := Compare(back, rep, 0); len(regs) != 0 || len(missing) != 0 {
-		t.Errorf("self-compare: regs=%v missing=%v", regs, missing)
 	}
 }

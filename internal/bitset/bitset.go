@@ -101,65 +101,6 @@ func (s *Set) UnionWith(t *Set) {
 	}
 }
 
-// IntersectWith removes from s every element not in t (s &= t).
-func (s *Set) IntersectWith(t *Set) {
-	s.sameUniverse(t)
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// DifferenceWith removes every element of t from s (s &^= t).
-func (s *Set) DifferenceWith(t *Set) {
-	s.sameUniverse(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
-// Union returns a new set holding s ∪ t.
-func Union(s, t *Set) *Set {
-	u := s.Clone()
-	u.UnionWith(t)
-	return u
-}
-
-// Intersect returns a new set holding s ∩ t.
-func Intersect(s, t *Set) *Set {
-	u := s.Clone()
-	u.IntersectWith(t)
-	return u
-}
-
-// Difference returns a new set holding s \ t.
-func Difference(s, t *Set) *Set {
-	u := s.Clone()
-	u.DifferenceWith(t)
-	return u
-}
-
-// UnionAll returns the union of all given sets. It panics if sets is empty.
-func UnionAll(sets ...*Set) *Set {
-	if len(sets) == 0 {
-		panic("bitset: UnionAll of no sets")
-	}
-	u := sets[0].Clone()
-	for _, t := range sets[1:] {
-		u.UnionWith(t)
-	}
-	return u
-}
-
-// UnionCount returns |s ∪ t| without materialising the union.
-func UnionCount(s, t *Set) int {
-	s.sameUniverse(t)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w | t.words[i])
-	}
-	return c
-}
-
 // IntersectCount returns |s ∩ t| without materialising the intersection.
 // The loop is 4-way unrolled: four independent popcount chains keep the
 // CPU's popcount unit busy instead of serialising on one accumulator.

@@ -274,9 +274,7 @@ func (e *Estimator) setModel(j int, m *WorldModel, w *world.World) {
 }
 
 // candidateFromProfile wraps a fitted profile into a Candidate: coverage
-// flags from the source spec plus the tabulated effectiveness tables. It is
-// the one candidate derivation, shared by the fit pipeline and
-// AddColdStartCandidate.
+// flags from the source spec plus the tabulated effectiveness tables.
 func candidateFromProfile(prof *profile.Profile, s *source.Source, i int, pts []world.DomainPoint, maxDelay int) *Candidate {
 	covered := make(map[world.DomainPoint]bool, len(s.Spec().Points))
 	for _, p := range s.Spec().Points {
@@ -389,19 +387,6 @@ func (e *Estimator) Points() []world.DomainPoint { return e.points }
 
 // Model returns the world model of the i-th query point.
 func (e *Estimator) Model(i int) *WorldModel { return e.models[i] }
-
-// eff evaluates one tabulated effectiveness CDF under the Eq. 8 alignment.
-func (c *Candidate) eff(tab []float64, t, tc timeline.Tick) float64 {
-	ts := c.Profile.TS(t)
-	if ts < tc {
-		return 0
-	}
-	d := int(ts - tc)
-	if d >= len(tab) {
-		d = len(tab) - 1
-	}
-	return tab[d]
-}
 
 // Quality estimates the quality of integrating the candidate set at tick t.
 // set holds candidate indices.

@@ -70,9 +70,9 @@ type FittedCandidate struct {
 }
 
 // Export snapshots the estimator's fitted state for persistence. It must
-// be called on a base fit — before AddFrequencyVariants or
-// AddColdStartCandidate — because the cache re-derives variants on load;
-// an estimator with derived candidates is rejected.
+// be called on a base fit — before AddFrequencyVariants — because the cache
+// re-derives variants on load; an estimator with derived candidates is
+// rejected.
 func (e *Estimator) Export() (*Fitted, error) {
 	f := &Fitted{
 		T0:     e.T0,

@@ -17,7 +17,7 @@
 //	ingest.read       every epoch-log frame payload read during recovery
 //	ingest.append     the durable epoch append at the head of a commit
 //	ingest.refit      the incremental refit of a committed epoch, before it runs
-//	ingest.publish    the generation publish of a committed epoch (serve.CommitEpoch)
+//	ingest.publish    the generation publish of a committed epoch (serve.CommitTenantEpoch)
 //
 // A Fault fires at most Times times (0 = unlimited); Fired reports how
 // often a site actually fired, so tests can assert the fault was hit.

@@ -274,11 +274,6 @@ type Profit struct {
 	CostWeight float64
 	// Budget is βc over the rescaled cost; ≤ 0 means unconstrained.
 	Budget float64
-	// Weights optionally turns the Tf aggregate into a non-negative
-	// weighted average (Section 5 allows any non-negative weighting while
-	// preserving submodularity). nil means the plain average. Set via
-	// SetWeights, which validates.
-	weights []float64
 
 	// calls is atomic: parallel candidate sweeps evaluate the oracle from
 	// many goroutines at once, and the count must stay exact.
@@ -290,50 +285,15 @@ type Profit struct {
 	probeBuf sync.Pool
 }
 
-// SetWeights installs a non-negative weighting over the time points of
-// interest (parallel to Ticks). Weights are normalised to sum to 1.
-func (p *Profit) SetWeights(ws []float64) error {
-	if ws == nil {
-		p.weights = nil
-		return nil
-	}
-	if len(ws) != len(p.Ticks) {
-		return fmt.Errorf("gain: %d weights for %d ticks", len(ws), len(p.Ticks))
-	}
-	var sum float64
-	for _, w := range ws {
-		if w < 0 {
-			return errors.New("gain: negative weight")
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return errors.New("gain: weights sum to zero")
-	}
-	norm := make([]float64, len(ws))
-	for i, w := range ws {
-		norm[i] = w / sum
-	}
-	p.weights = norm
-	return nil
-}
-
-// gainOf streams the per-tick gain evaluations straight into the
-// configured aggregate (plain or weighted average) and applies the [0,1]
-// rescaling — no intermediate gains slice, same additions in the same
-// order as materialising one.
+// gainOf streams the per-tick gain evaluations straight into their
+// average and applies the [0,1] rescaling — no intermediate gains slice,
+// same additions in the same order as materialising one.
 func (p *Profit) gainOf(qs []estimate.QualityEstimate) float64 {
 	var g float64
-	if p.weights == nil {
-		for _, q := range qs {
-			g += p.Gain.Eval(q)
-		}
-		g /= float64(len(qs))
-	} else {
-		for i, q := range qs {
-			g += p.weights[i] * p.Gain.Eval(q)
-		}
+	for _, q := range qs {
+		g += p.Gain.Eval(q)
 	}
+	g /= float64(len(qs))
 	if mg := p.Gain.MaxGain(); mg > 0 {
 		g /= mg
 	}
@@ -457,9 +417,8 @@ func (p *Profit) AvgMetric(set []int, m Metric) float64 {
 }
 
 // Submodular reports whether the profit is submodular, which holds exactly
-// when the gain is: the cost term is additive, and SetWeights admits only
-// non-negative weights. Greedy and MaxSub's add moves probe lazily (CELF)
-// when it returns true.
+// when the gain is: the cost term is additive. Greedy and MaxSub's add
+// moves probe lazily (CELF) when it returns true.
 func (p *Profit) Submodular() bool { return p.Gain.Submodular() }
 
 // Feasible reports whether the set respects the budget.

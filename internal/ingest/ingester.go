@@ -237,14 +237,8 @@ func (in *Ingester) validate(o Observation) error {
 	if o.Source < 0 || o.Source >= len(in.d.Sources) {
 		return fmt.Errorf("ingest: source %d outside [0, %d)", o.Source, len(in.d.Sources))
 	}
-	if n := in.d.World.NumEntities(); int(o.Event.Entity) < 0 || int(o.Event.Entity) >= n {
-		return fmt.Errorf("ingest: entity %d outside [0, %d)", o.Event.Entity, n)
-	}
-	if o.Event.Kind > timeline.Disappear {
-		return fmt.Errorf("ingest: unknown event kind %d", o.Event.Kind)
-	}
-	if o.Event.Version < 0 {
-		return fmt.Errorf("ingest: negative version %d", o.Event.Version)
+	if err := in.d.World.CheckEvent(o.Event); err != nil {
+		return fmt.Errorf("ingest: %w", err)
 	}
 	if wm := in.sealedWatermark(); o.Event.At <= wm {
 		return &StaleError{At: o.Event.At, Watermark: wm}

@@ -1,6 +1,6 @@
 // Package matroid provides the independence systems used by the
-// varying-frequency selection of Section 5 of the paper: uniform matroids
-// and partition matroids over a ground set {0, …, n-1}.
+// varying-frequency selection of Section 5 of the paper: partition matroids
+// over a ground set {0, …, n-1}.
 //
 // The paper encodes "pick at most one frequency version per source" as k
 // rank-1 uniform matroid constraints, one per source, and notes that every
@@ -10,10 +10,7 @@
 // search then runs with k = 1 intersected matroid.
 package matroid
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Matroid is an independence oracle over the ground set {0, …, N()-1}.
 type Matroid interface {
@@ -28,48 +25,6 @@ type Matroid interface {
 	// any superset of them (typically exactly them) makes x addable. It
 	// returns nil when x is directly addable.
 	Conflicts(set []int, x int) []int
-}
-
-// Uniform is the uniform matroid U(n, r): a set is independent iff it has
-// at most r elements.
-type Uniform struct {
-	n, r int
-}
-
-// NewUniform builds U(n, r).
-func NewUniform(n, r int) (*Uniform, error) {
-	if n < 0 || r < 0 {
-		return nil, errors.New("matroid: negative parameter")
-	}
-	return &Uniform{n: n, r: r}, nil
-}
-
-// N implements Matroid.
-func (u *Uniform) N() int { return u.n }
-
-// Independent implements Matroid.
-func (u *Uniform) Independent(set []int) bool {
-	if !validElements(set, u.n) {
-		return false
-	}
-	return len(set) <= u.r
-}
-
-// CanAdd implements Matroid.
-func (u *Uniform) CanAdd(set []int, x int) bool {
-	return x >= 0 && x < u.n && len(set) < u.r
-}
-
-// Conflicts implements Matroid.
-func (u *Uniform) Conflicts(set []int, x int) []int {
-	if u.CanAdd(set, x) {
-		return nil
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	// Any single element frees a slot; report the first.
-	return []int{set[0]}
 }
 
 // Partition is a partition matroid: the ground set is partitioned into

@@ -6,46 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestUniform(t *testing.T) {
-	u, err := NewUniform(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.N() != 10 {
-		t.Errorf("N = %d", u.N())
-	}
-	if !u.Independent([]int{}) || !u.Independent([]int{1, 2, 3}) {
-		t.Error("small sets should be independent")
-	}
-	if u.Independent([]int{1, 2, 3, 4}) {
-		t.Error("4 elements in U(10,3) should be dependent")
-	}
-	if u.Independent([]int{1, 1}) {
-		t.Error("duplicate elements are not a set")
-	}
-	if u.Independent([]int{10}) {
-		t.Error("out-of-range element")
-	}
-	if !u.CanAdd([]int{1, 2}, 3) || u.CanAdd([]int{1, 2, 3}, 4) {
-		t.Error("CanAdd wrong")
-	}
-	if u.Conflicts([]int{1, 2}, 3) != nil {
-		t.Error("no conflicts expected when addable")
-	}
-	if c := u.Conflicts([]int{1, 2, 3}, 4); len(c) != 1 {
-		t.Errorf("conflicts = %v", c)
-	}
-}
-
-func TestNewUniformErrors(t *testing.T) {
-	if _, err := NewUniform(-1, 0); err == nil {
-		t.Error("want error")
-	}
-	if _, err := NewUniform(3, -1); err == nil {
-		t.Error("want error")
-	}
-}
-
 func TestPartition(t *testing.T) {
 	// Elements 0,1,2 in class 0 (cap 1); 3,4 in class 1 (cap 2).
 	p, err := NewPartition([]int{0, 0, 0, 1, 1}, []int{1, 2})
@@ -57,6 +17,12 @@ func TestPartition(t *testing.T) {
 	}
 	if p.Independent([]int{0, 1}) {
 		t.Error("two class-0 elements should be dependent")
+	}
+	if p.Independent([]int{3, 3}) {
+		t.Error("duplicate elements are not a set")
+	}
+	if p.Independent([]int{5}) {
+		t.Error("out-of-range element")
 	}
 	if !p.CanAdd([]int{0}, 3) {
 		t.Error("adding to unfilled class must work")
@@ -97,13 +63,14 @@ func TestOnePerClass(t *testing.T) {
 
 func TestAllIndependent(t *testing.T) {
 	p, _ := OnePerClass([]int{0, 0, 1, 1})
-	u, _ := NewUniform(4, 1)
-	ms := []Matroid{p, u}
+	// One class of capacity 1: at most one element overall.
+	q, _ := NewPartition([]int{0, 0, 0, 0}, []int{1})
+	ms := []Matroid{p, q}
 	if !AllIndependent(ms, []int{0}) {
 		t.Error("singleton should be in the intersection")
 	}
 	if AllIndependent(ms, []int{0, 2}) {
-		t.Error("{0,2} violates the uniform rank-1 constraint")
+		t.Error("{0,2} violates the rank-1 constraint")
 	}
 }
 

@@ -131,13 +131,6 @@ func Load(path string) ([32]byte, *estimate.Fitted, error) {
 	return digest, f, nil
 }
 
-// Verify checks a cache file end to end — magic, version, checksum and a
-// full payload decode — and returns its recorded snapshot digest.
-func Verify(path string) ([32]byte, error) {
-	digest, _, err := Load(path)
-	return digest, err
-}
-
 // encodedSizeHint estimates the payload size to pre-size the encode
 // buffer; it only needs to be in the right ballpark.
 func encodedSizeHint(f *estimate.Fitted) int {

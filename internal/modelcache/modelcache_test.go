@@ -73,9 +73,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := estimate.FromFitted(d.World, got); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(path); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
 }
 
 func TestLoadVersionMismatch(t *testing.T) {

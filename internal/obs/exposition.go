@@ -113,9 +113,8 @@ func sanitizeMetricName(name string) string {
 // CaptureRuntime refreshes the process-level gauges on the registry from
 // the Go runtime: goroutine count, heap occupancy and the cumulative
 // allocation counters. Serving code calls it right before a snapshot so
-// /metrics always reports current process state; freshbench diffs
-// proc.mallocs across a run to derive allocations per request. Nil-safe,
-// like every registry method.
+// /metrics always reports current process state. Nil-safe, like every
+// registry method.
 func CaptureRuntime(r *Registry) {
 	if r == nil {
 		return
@@ -133,9 +132,8 @@ func CaptureRuntime(r *Registry) {
 // ValidatePrometheus structurally checks a text-exposition document: every
 // non-empty line is either a `# TYPE`/`# HELP` comment or a
 // `name[{labels}] value` sample with a sanitized metric name and a
-// parseable float value. It returns the number of samples. Tests and the
-// freshbench harness use it as a zero-dependency stand-in for a real
-// Prometheus scraper.
+// parseable float value. It returns the number of samples. Tests use it as
+// a zero-dependency stand-in for a real Prometheus scraper.
 func ValidatePrometheus(doc string) (samples int, err error) {
 	for ln, line := range strings.Split(doc, "\n") {
 		if line == "" {

@@ -87,15 +87,6 @@ func Start(name string) Span {
 	return Span{h: r.Histogram(name), t0: time.Now()}
 }
 
-// StartIn begins a span recording into a specific registry (nil-safe).
-// Useful for components holding a registry handle directly.
-func StartIn(r *Registry, name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{h: r.Histogram(name), t0: time.Now()}
-}
-
 // End finishes the span, observing the elapsed wall-clock seconds.
 func (s Span) End() {
 	if s.h == nil {

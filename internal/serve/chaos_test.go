@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +86,50 @@ func TestChaosReloadCorruptSnapshotRollsBack(t *testing.T) {
 	}
 }
 
+// TestChaosReloadEventOutsideWorldRollsBack: a well-formed event line on
+// disk that names an entity the world does not hold fails the reload at the
+// stage phase. Were it staged, the candidate fit would index the entity
+// table out of range inside a fit goroutine, where no handler can recover.
+func TestChaosReloadEventOutsideWorldRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	if err := snapio.Write(dir, testDataset(t)); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(t, Config{SnapshotDir: dir})
+	defer srv.Close()
+
+	want := postJSON(t, srv.Handler(), "/v1/select", `{}`)
+	if want.Code != http.StatusOK {
+		t.Fatalf("pre-chaos select: %d", want.Code)
+	}
+
+	events := filepath.Join(dir, "events.jsonl")
+	f, err := os.OpenFile(events, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"src":0,"entity":99999999,"kind":0,"at":3}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := postJSON(t, srv.Handler(), "/v1/reload", "")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("reload of a snapshot naming entity 99999999: %d %s, want 500", rec.Code, rec.Body.String())
+	}
+	if body := rec.Body.String(); !strings.Contains(body, "stage") || !strings.Contains(body, "entity 99999999") {
+		t.Errorf("error should name the stage phase and the entity: %s", body)
+	}
+	if srv.Generation() != 1 {
+		t.Fatalf("generation moved to %d after a failed reload", srv.Generation())
+	}
+	got := postJSON(t, srv.Handler(), "/v1/select", `{}`)
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Error("last-good generation stopped serving identical results after rollback")
+	}
+}
+
 // TestChaosReloadMidFitCancellation: a reload whose candidate fit outlives
 // the reload deadline must discard the candidate and keep the serving
 // generation; the abandoned fit is canceled, not leaked.
@@ -99,7 +145,7 @@ func TestChaosReloadMidFitCancellation(t *testing.T) {
 	faults.Set("serve.fit", faults.Fault{Delay: 500 * time.Millisecond, Times: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := srv.Reload(ctx)
+	_, err := srv.ReloadTenant(ctx, "")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-fit canceled reload: %v, want DeadlineExceeded", err)
 	}
@@ -111,7 +157,7 @@ func TestChaosReloadMidFitCancellation(t *testing.T) {
 	}
 
 	// The same reload succeeds once the fit is allowed to finish.
-	if _, err := srv.Reload(context.Background()); err != nil {
+	if _, err := srv.ReloadTenant(context.Background(), ""); err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
 	if srv.Generation() != 2 {
@@ -158,7 +204,7 @@ func TestChaosReloadUnderFire(t *testing.T) {
 		}(i)
 	}
 
-	info, err := srv.Reload(context.Background())
+	info, err := srv.ReloadTenant(context.Background(), "")
 	close(stop)
 	wg.Wait()
 	close(errs)

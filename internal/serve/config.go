@@ -31,14 +31,6 @@ type Config struct {
 	// (10, matching freshselect).
 	DefaultFuture int
 
-	// MaxCacheEntries bounds each registry cache (results, problems, set
-	// states); on overflow a cache is reset wholesale. 0 scales the bound
-	// to the snapshot's corpus when each generation is built: 4096 entries
-	// up to 2048 sources, shrinking inversely beyond that with a floor of
-	// 512 — cached keys and set states grow with the candidate count, so a
-	// fixed bound sized for small corpora would balloon at paper scale.
-	MaxCacheEntries int
-
 	// FitWorkers bounds the model-fitting pool used when the registry
 	// fits: 0 uses GOMAXPROCS, 1 fits sequentially. Fitted models are
 	// byte-identical at any setting.

@@ -16,6 +16,7 @@ import (
 	"freshsource/internal/obs"
 	"freshsource/internal/snapio"
 	"freshsource/internal/source"
+	"freshsource/internal/timeline"
 )
 
 func gauge(name string) float64 { return obs.Active().Gauge(name).Value() }
@@ -102,7 +103,18 @@ func TestFreshnessZeroCaptures(t *testing.T) {
 	d.Sources = append([]*source.Source(nil), base.Sources...)
 	// Source 0 keeps only events after T0: at the default evaluation tick
 	// it has never captured anything.
-	d.Sources[0] = base.Sources[0].Truncate(base.T0 + 1)
+	s0 := base.Sources[0]
+	var late []timeline.Event
+	for _, ev := range s0.Log().Events() {
+		if ev.At > base.T0 {
+			late = append(late, ev)
+		}
+	}
+	quiet, err := source.FromLog(s0.ID(), s0.Spec(), s0.Horizon(), late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Sources[0] = quiet
 
 	srv, err := New(d, Config{})
 	if err != nil {

@@ -226,6 +226,12 @@ func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) 
 // than fitted; 8 covers the paper's {2,…,7} sweep.
 const maxDivisors = 8
 
+// maxRounds bounds GRASP's round count r on /v1/select. Every round is a
+// full randomized construction plus local search, so an unbounded count
+// holds an admission slot until the request deadline; 100 is the largest
+// r among the paper's GRASP settings.
+const maxRounds = 100
+
 func validDivisors(divs []int) error {
 	if len(divs) > maxDivisors {
 		return fmt.Errorf("divisors: %d entries, at most %d allowed", len(divs), maxDivisors)
@@ -288,6 +294,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := validDivisors(req.Divisors); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if req.Rounds > maxRounds {
+		writeErr(w, http.StatusBadRequest, "rounds: %d, at most %d allowed", req.Rounds, maxRounds)
 		return
 	}
 	if req.Budget < 0 || req.Budget > 1 {

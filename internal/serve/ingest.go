@@ -130,16 +130,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// CommitEpoch seals the default tenant's pending observations into an epoch
-// and publishes the refit estimator as a new serving generation (the
-// single-tenant surface; CommitTenantEpoch addresses a named world). With
-// nothing pending and nothing dirty it is a no-op returning (nil, nil).
-func (s *Server) CommitEpoch(ctx context.Context) (*EpochInfo, error) {
-	return s.commitTenantEpoch(ctx, s.def)
-}
-
-// CommitTenantEpoch is CommitEpoch for a named tenant ("" addresses the
-// default).
+// CommitTenantEpoch seals the named tenant's ("" addresses the default)
+// pending observations into an epoch and publishes the refit estimator as a
+// new serving generation. With nothing pending and nothing dirty it is a
+// no-op returning (nil, nil).
 func (s *Server) CommitTenantEpoch(ctx context.Context, name string) (*EpochInfo, error) {
 	t, err := s.Tenant(name)
 	if err != nil {
@@ -194,14 +188,10 @@ func (s *Server) commitTenantEpoch(ctx context.Context, t *Tenant) (*EpochInfo, 
 		obs.Counter("serve.ingest.epoch_failures").Inc()
 		return nil, fmt.Errorf("serve: epoch %d: %w", ep.Seq, err)
 	}
-	maxEntries := s.cfg.MaxCacheEntries
-	if maxEntries <= 0 {
-		maxEntries = defaultCacheEntries(len(nd.Sources))
-	}
 	g := &generation{
 		id:     cur.id + 1,
 		d:      nd,
-		reg:    NewRegistry(s.life, nd, maxEntries, s.cfg.FitWorkers, t.mc),
+		reg:    NewRegistry(s.life, nd, defaultCacheEntries(len(nd.Sources)), s.cfg.FitWorkers, t.mc),
 		digest: modelcache.Digest(nd.World, nd.Sources),
 	}
 	g.reg.SeedTrained(tr)

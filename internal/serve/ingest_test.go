@@ -16,7 +16,7 @@ import (
 )
 
 // ingestConfig enables streaming ingestion with an epoch interval long
-// enough that only explicit CommitEpoch calls commit.
+// enough that only explicit CommitTenantEpoch calls commit.
 func ingestConfig(dir string) Config {
 	return Config{IngestEpoch: time.Hour, IngestDir: dir}
 }
@@ -130,7 +130,7 @@ func TestEpochCommitPublishesGeneration(t *testing.T) {
 	)); rec.Code != 202 {
 		t.Fatalf("observe: %d", rec.Code)
 	}
-	info, err := srv.CommitEpoch(context.Background())
+	info, err := srv.CommitTenantEpoch(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEpochCommitPublishesGeneration(t *testing.T) {
 	}
 
 	// Idle commit: no-op, no generation churn.
-	info, err = srv.CommitEpoch(context.Background())
+	info, err = srv.CommitTenantEpoch(context.Background(), "")
 	if err != nil || info != nil {
 		t.Fatalf("idle commit: %+v, %v", info, err)
 	}
@@ -202,7 +202,7 @@ func TestChaosIngestTornLog(t *testing.T) {
 	)); rec.Code != 202 {
 		t.Fatalf("observe: %d", rec.Code)
 	}
-	if _, err := srv.CommitEpoch(context.Background()); err != nil {
+	if _, err := srv.CommitTenantEpoch(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -238,7 +238,7 @@ func TestChaosIngestTornLog(t *testing.T) {
 	)); rec.Code != 202 {
 		t.Fatalf("post-recovery observe: %d", rec.Code)
 	}
-	if info, err := re.CommitEpoch(context.Background()); err != nil || info.Epoch != 2 {
+	if info, err := re.CommitTenantEpoch(context.Background(), ""); err != nil || info.Epoch != 2 {
 		t.Fatalf("post-recovery commit: %+v, %v", info, err)
 	}
 }
@@ -309,7 +309,7 @@ func TestChaosIngestRefitMidStream(t *testing.T) {
 
 	faults.Set("ingest.append", faults.Fault{Err: errors.New("disk full"), Times: 1})
 	defer faults.Reset()
-	if _, err := srv.CommitEpoch(context.Background()); err == nil {
+	if _, err := srv.CommitTenantEpoch(context.Background(), ""); err == nil {
 		t.Fatal("want append fault")
 	}
 	if srv.Generation() != 1 || srv.Ingester().Pending() != 1 || srv.Ingester().Seq() != 0 {
@@ -317,7 +317,7 @@ func TestChaosIngestRefitMidStream(t *testing.T) {
 	}
 
 	faults.Set("ingest.refit", faults.Fault{Err: errors.New("refit oom"), Times: 1})
-	if _, err := srv.CommitEpoch(context.Background()); err == nil {
+	if _, err := srv.CommitTenantEpoch(context.Background(), ""); err == nil {
 		t.Fatal("want refit fault")
 	}
 	if srv.Generation() != 1 {
@@ -332,7 +332,7 @@ func TestChaosIngestRefitMidStream(t *testing.T) {
 	}
 
 	faults.Reset()
-	info, err := srv.CommitEpoch(context.Background())
+	info, err := srv.CommitTenantEpoch(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestChaosIngestPublishFault(t *testing.T) {
 	}
 	faults.Set("ingest.publish", faults.Fault{Err: errors.New("publish blown"), Times: 1})
 	defer faults.Reset()
-	if _, err := srv.CommitEpoch(context.Background()); err == nil {
+	if _, err := srv.CommitTenantEpoch(context.Background(), ""); err == nil {
 		t.Fatal("want publish fault")
 	}
 	if srv.Generation() != 1 || srv.Ingester().Seq() != 1 || !srv.Ingester().Dirty() {
@@ -369,7 +369,7 @@ func TestChaosIngestPublishFault(t *testing.T) {
 
 	// No new observations: the retry must still re-derive and publish the
 	// committed epoch.
-	info, err := srv.CommitEpoch(context.Background())
+	info, err := srv.CommitTenantEpoch(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestChaosIngestFoldTimeout(t *testing.T) {
 	}
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.CommitEpoch(cctx); err == nil {
+	if _, err := srv.CommitTenantEpoch(cctx, ""); err == nil {
 		t.Fatal("want fold failure under canceled context")
 	}
 
@@ -413,7 +413,7 @@ func TestChaosIngestFoldTimeout(t *testing.T) {
 		t.Fatalf("healthz during unfolded epoch: %+v", hz)
 	}
 
-	info, err := srv.CommitEpoch(context.Background())
+	info, err := srv.CommitTenantEpoch(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

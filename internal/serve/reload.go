@@ -17,7 +17,7 @@ import (
 // dataset, which has no on-disk successor).
 var ErrNotReloadable = errors.New("serve: no snapshot directory configured; reload unavailable")
 
-// ReloadInfo describes the outcome of a successful Reload.
+// ReloadInfo describes the outcome of a successful ReloadTenant.
 type ReloadInfo struct {
 	// Tenant names the world the reload acted on.
 	Tenant string `json:"tenant"`
@@ -33,14 +33,8 @@ type ReloadInfo struct {
 	Digest  string `json:"digest"`
 }
 
-// Reload picks up a changed snapshot for the default tenant without
-// restarting the daemon (the single-tenant surface; ReloadTenant addresses
-// a named world).
-func (s *Server) Reload(ctx context.Context) (ReloadInfo, error) {
-	return s.reloadTenant(ctx, s.def)
-}
-
-// ReloadTenant is Reload for a named tenant ("" addresses the default).
+// ReloadTenant picks up a changed snapshot for the named tenant ("" addresses
+// the default) without restarting the daemon.
 func (s *Server) ReloadTenant(ctx context.Context, name string) (ReloadInfo, error) {
 	t, err := s.Tenant(name)
 	if err != nil {

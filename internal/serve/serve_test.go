@@ -325,6 +325,29 @@ func TestDivisorsBounded(t *testing.T) {
 	}
 }
 
+// TestRoundsBounded: a GRASP round count above maxRounds is refused with
+// 400 naming the field, before a solve can hold an admission slot until the
+// request deadline; the paper's largest setting, r = 100, passes the check
+// (greedy ignores r, so the boundary costs no GRASP solve).
+func TestRoundsBounded(t *testing.T) {
+	srv := newServer(t, Config{})
+	defer srv.Close()
+	for _, r := range []int{maxRounds + 1, 1_000_000_000} {
+		rec := postJSON(t, srv.Handler(), "/v1/select", fmt.Sprintf(`{"algorithm":"grasp","rounds":%d}`, r))
+		var resp errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("rounds %d: error body %q: %v", r, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(resp.Error, "rounds") {
+			t.Fatalf("rounds %d: %d %q, want 400 naming rounds", r, rec.Code, resp.Error)
+		}
+	}
+	body := fmt.Sprintf(`{"algorithm":"greedy","rounds":%d}`, maxRounds)
+	if rec := postJSON(t, srv.Handler(), "/v1/select", body); rec.Code != http.StatusOK {
+		t.Errorf("rounds %d: %d %s, want 200", maxRounds, rec.Code, rec.Body.String())
+	}
+}
+
 // TestTicksBounded: a future count or an explicit tick list longer than
 // the evaluation window (T0, Horizon−1] is refused with 400 naming the
 // field on both endpoints — before any problem is built or result cached,

@@ -131,12 +131,12 @@ func validateDataset(d *dataset.Dataset) error {
 	return nil
 }
 
-// defaultCacheEntries is the corpus-scaled registry cache bound applied
-// when Config.MaxCacheEntries is unset: cache keys and memoized set states
-// grow linearly with the candidate count, so the entry budget shrinks
-// inversely past 2048 sources (floor 512) to keep per-generation cache
-// memory roughly constant from toy corpora up to the 15k-source paper
-// regime.
+// defaultCacheEntries is the corpus-scaled bound on each registry cache
+// (results, problems, set states) of a generation; on overflow a cache is
+// reset wholesale. Cache keys and memoized set states grow linearly with
+// the candidate count, so the entry budget shrinks inversely past 2048
+// sources (floor 512) to keep per-generation cache memory roughly constant
+// from toy corpora up to the 15k-source paper regime.
 func defaultCacheEntries(sources int) int {
 	const base, pivot, floor = 4096, 2048, 512
 	if sources <= pivot {

@@ -245,14 +245,10 @@ func (s *Server) newTenant(spec TenantSpec, def bool) (*Tenant, error) {
 // failure the candidate registry is closed and nothing is published.
 func (t *Tenant) buildGeneration(ctx context.Context, id uint64, d *dataset.Dataset) (*generation, error) {
 	s := t.srv
-	maxEntries := s.cfg.MaxCacheEntries
-	if maxEntries <= 0 {
-		maxEntries = defaultCacheEntries(len(d.Sources))
-	}
 	g := &generation{
 		id:     id,
 		d:      d,
-		reg:    NewRegistry(s.life, d, maxEntries, s.cfg.FitWorkers, t.mc),
+		reg:    NewRegistry(s.life, d, defaultCacheEntries(len(d.Sources)), s.cfg.FitWorkers, t.mc),
 		digest: modelcache.Digest(d.World, d.Sources),
 	}
 	if _, err := g.reg.Trained(ctx, nil); err != nil {

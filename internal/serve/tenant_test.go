@@ -177,7 +177,7 @@ func TestTenantReloadIsolation(t *testing.T) {
 			}
 		}
 	}()
-	info, err := srv.Reload(context.Background())
+	info, err := srv.ReloadTenant(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +230,10 @@ func TestTenantObserveCommitIsolation(t *testing.T) {
 			t.Fatalf("%s observe: %d %s", name, rec.Code, rec.Body.String())
 		}
 	}
-	if _, err := multi.CommitEpoch(context.Background()); err != nil {
+	if _, err := multi.CommitTenantEpoch(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ded.CommitEpoch(context.Background()); err != nil {
+	if _, err := ded.CommitTenantEpoch(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 

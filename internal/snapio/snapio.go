@@ -196,9 +196,11 @@ func Read(dir string) (*dataset.Dataset, error) {
 		if i < 0 || i >= len(srcRecs) {
 			return fmt.Errorf("snapio: event references unknown source %d", i)
 		}
-		eventsBySource[i] = append(eventsBySource[i], timeline.Event{
-			Entity: r.Entity, Kind: r.Kind, At: r.At, Version: r.Version,
-		})
+		ev := timeline.Event{Entity: r.Entity, Kind: r.Kind, At: r.At, Version: r.Version}
+		if err := w.CheckEvent(ev); err != nil {
+			return fmt.Errorf("snapio: source %d event at tick %d: %w", i, r.At, err)
+		}
+		eventsBySource[i] = append(eventsBySource[i], ev)
 		return nil
 	}); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package snapio
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,6 +145,43 @@ func TestReadEventBeyondHorizonRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "snapio: source") {
 		t.Errorf("error should name the offending source: %v", err)
+	}
+}
+
+// TestReadEventOutsideWorldRejected: a well-formed event line whose entity,
+// kind or version the world cannot hold fails the read with an error naming
+// the field, instead of reaching a fit that indexes the entity table.
+func TestReadEventOutsideWorldRejected(t *testing.T) {
+	d := smallDataset(t)
+	n := d.World.NumEntities()
+	cases := map[string]struct{ line, want string }{
+		"entity-high":      {fmt.Sprintf(`{"src":0,"entity":%d,"kind":0,"at":3}`, n), "entity"},
+		"entity-negative":  {`{"src":0,"entity":-1,"kind":0,"at":3}`, "entity"},
+		"kind-unknown":     {`{"src":0,"entity":0,"kind":9,"at":3}`, "kind"},
+		"version-negative": {`{"src":0,"entity":0,"kind":1,"at":3,"version":-1}`, "version"},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := Write(dir, d); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, eventsFile)
+			events, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(events, c.line+"\n"...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Read(dir)
+			if err == nil {
+				t.Fatalf("read accepted %s", c.line)
+			}
+			if !strings.Contains(err.Error(), "snapio: source 0") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error should name source 0 and the %s: %v", c.want, err)
+			}
+		})
 	}
 }
 

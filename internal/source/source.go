@@ -151,20 +151,6 @@ func AlignUp(t timeline.Tick, interval, phase timeline.Tick) timeline.Tick {
 	return phase + k*interval
 }
 
-// LastUpdateAt returns the latest scheduled update tick at or before t —
-// the paper's TS(t). The boolean is false when the schedule has not fired
-// yet by t.
-func LastUpdateAt(t timeline.Tick, interval, phase timeline.Tick) (timeline.Tick, bool) {
-	if interval <= 0 {
-		panic("source: non-positive interval")
-	}
-	if t < phase {
-		return 0, false
-	}
-	k := (t - phase) / interval
-	return phase + k*interval, true
-}
-
 // FromLog reconstructs a source from its spec and a previously captured
 // event log — the loading path for persisted or externally-supplied
 // corpora. Events must lie in [0, horizon).
@@ -324,20 +310,6 @@ func (s *Source) Downsample(div int) (*Source, error) {
 		}
 	}
 	return out, nil
-}
-
-// Truncate returns a derived source whose capture log only contains events
-// at or after the given tick — the view an integrator has of a source that
-// appeared at that tick (the cold-start scenario of the paper's future
-// work).
-func (s *Source) Truncate(after timeline.Tick) *Source {
-	out := &Source{id: s.id, spec: s.spec, log: timeline.NewLog(), horizon: s.horizon}
-	for _, e := range s.log.Events() {
-		if e.At >= after {
-			out.log.Append(e)
-		}
-	}
-	return out
 }
 
 // Restrict returns a derived micro-source containing only the entities of

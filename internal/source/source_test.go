@@ -50,21 +50,6 @@ func TestAlignUp(t *testing.T) {
 	}
 }
 
-func TestLastUpdateAt(t *testing.T) {
-	if _, ok := LastUpdateAt(2, 7, 3); ok {
-		t.Error("schedule has not fired before phase")
-	}
-	if got, ok := LastUpdateAt(3, 7, 3); !ok || got != 3 {
-		t.Errorf("LastUpdateAt(3) = %d,%v", got, ok)
-	}
-	if got, ok := LastUpdateAt(9, 7, 3); !ok || got != 3 {
-		t.Errorf("LastUpdateAt(9) = %d,%v", got, ok)
-	}
-	if got, ok := LastUpdateAt(10, 7, 3); !ok || got != 10 {
-		t.Errorf("LastUpdateAt(10) = %d,%v", got, ok)
-	}
-}
-
 func TestSpecValidation(t *testing.T) {
 	pts := []world.DomainPoint{{Location: 0, Category: 0}}
 	bad := []Spec{

@@ -29,15 +29,3 @@ func ExampleNewKaplanMeier() {
 	fmt.Printf("G(1)=%.2f G(2)=%.2f plateau=%.2f\n", km.CDF(1), km.CDF(2), km.Plateau())
 	// Output: G(1)=0.25 G(2)=0.75 plateau=0.75
 }
-
-// Weibull shape ≈ 1 supports the paper's exponential-lifespan assumption.
-func ExampleChooseLifespanModel() {
-	g := stats.NewRNG(1)
-	var obs []stats.Duration
-	for i := 0; i < 5000; i++ {
-		obs = append(obs, stats.Duration{Value: g.Exponential(0.02)})
-	}
-	c, _ := stats.ChooseLifespanModel(obs)
-	fmt.Printf("prefer weibull: %v\n", c.PreferWeibull)
-	// Output: prefer weibull: false
-}

@@ -119,16 +119,6 @@ func FitExponential(obs []Duration) (ExponentialModel, error) {
 	return ExponentialModel{Rate: float64(events) / total, Events: events, Censored: censored}, nil
 }
 
-// FitExponentialExact fits an exponential distribution to fully-observed
-// durations.
-func FitExponentialExact(values []float64) (ExponentialModel, error) {
-	obs := make([]Duration, len(values))
-	for i, v := range values {
-		obs[i] = Duration{Value: v}
-	}
-	return FitExponential(obs)
-}
-
 // CDF returns P[duration ≤ x].
 func (m ExponentialModel) CDF(x float64) float64 {
 	if x <= 0 {

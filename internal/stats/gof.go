@@ -3,14 +3,11 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // This file implements the goodness-of-fit machinery used to verify the
-// paper's modeling assumptions (Figures 5 and 6): a chi-square test for the
-// Poisson fits and a Kolmogorov–Smirnov test for the exponential fits,
-// together with the special functions they need (regularized incomplete
-// gamma for the chi-square CDF).
+// paper's modeling assumptions (Figures 5 and 6): a chi-square test, with
+// the special function its CDF needs (the regularized incomplete gamma).
 
 // ChiSquareResult reports a chi-square goodness-of-fit test.
 type ChiSquareResult struct {
@@ -134,67 +131,4 @@ func gammaQContinuedFraction(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// KSResult reports a one-sample Kolmogorov–Smirnov test.
-type KSResult struct {
-	Statistic float64 // sup-norm distance between empirical and model CDF
-	PValue    float64 // asymptotic p-value
-	N         int
-}
-
-// KSTest performs a one-sample KS test of the data against the model CDF.
-func KSTest(data []float64, cdf func(float64) float64) (KSResult, error) {
-	n := len(data)
-	if n == 0 {
-		return KSResult{}, errors.New("stats: KS test with no data")
-	}
-	sorted := make([]float64, n)
-	copy(sorted, data)
-	sort.Float64s(sorted)
-	var d float64
-	for i, x := range sorted {
-		f := cdf(x)
-		lo := f - float64(i)/float64(n)
-		hi := float64(i+1)/float64(n) - f
-		if lo > d {
-			d = lo
-		}
-		if hi > d {
-			d = hi
-		}
-	}
-	return KSResult{Statistic: d, PValue: ksPValue(d, n), N: n}, nil
-}
-
-// ksPValue returns the asymptotic Kolmogorov p-value Q(√n·d) with the
-// standard small-sample correction.
-func ksPValue(d float64, n int) float64 {
-	sn := math.Sqrt(float64(n))
-	lambda := (sn + 0.12 + 0.11/sn) * d
-	return kolmogorovQ(lambda)
-}
-
-func kolmogorovQ(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	var sum float64
-	sign := 1.0
-	for j := 1; j <= 100; j++ {
-		term := sign * math.Exp(-2*lambda*lambda*float64(j)*float64(j))
-		sum += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-		sign = -sign
-	}
-	p := 2 * sum
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }

@@ -105,59 +105,3 @@ func TestChiSquareTestErrors(t *testing.T) {
 		t.Error("want insufficient-df error")
 	}
 }
-
-func TestKSTestGoodFit(t *testing.T) {
-	g := NewRNG(29)
-	const rate = 0.5
-	data := make([]float64, 2000)
-	for i := range data {
-		data[i] = g.Exponential(rate)
-	}
-	m := ExponentialModel{Rate: rate}
-	res, err := KSTest(data, m.CDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PValue < 0.01 {
-		t.Errorf("good exponential fit rejected: p = %v (D = %v)", res.PValue, res.Statistic)
-	}
-}
-
-func TestKSTestBadFit(t *testing.T) {
-	g := NewRNG(31)
-	data := make([]float64, 2000)
-	for i := range data {
-		data[i] = g.Uniform(0, 1)
-	}
-	m := ExponentialModel{Rate: 3}
-	res, err := KSTest(data, m.CDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PValue > 1e-4 {
-		t.Errorf("bad fit not rejected: p = %v", res.PValue)
-	}
-}
-
-func TestKSTestEmpty(t *testing.T) {
-	if _, err := KSTest(nil, func(float64) float64 { return 0 }); err == nil {
-		t.Error("want error on empty data")
-	}
-}
-
-func TestKolmogorovQBounds(t *testing.T) {
-	if kolmogorovQ(0) != 1 {
-		t.Error("Q(0) != 1")
-	}
-	if q := kolmogorovQ(10); q > 1e-80 {
-		t.Errorf("Q(10) = %v, want ≈ 0", q)
-	}
-	prev := 1.0
-	for l := 0.1; l < 3; l += 0.1 {
-		q := kolmogorovQ(l)
-		if q < 0 || q > 1 || q > prev+1e-12 {
-			t.Fatalf("Q not a valid decreasing tail at %v: %v", l, q)
-		}
-		prev = q
-	}
-}

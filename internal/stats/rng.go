@@ -4,9 +4,8 @@
 // lifespans, heavy-tailed source sizes), maximum-likelihood fitting with
 // right-censored observations (Eq. 7 of the paper), the Kaplan–Meier
 // product-limit estimator used for source effectiveness distributions
-// (Section 4.1.2), histograms, and goodness-of-fit tests (chi-square and
-// Kolmogorov–Smirnov) used to verify the modeling assumptions (Figures 5
-// and 6).
+// (Section 4.1.2), histograms, and the chi-square goodness-of-fit test used
+// to verify the modeling assumptions (Figures 5 and 6).
 //
 // Everything is deterministic given a seed, so every experiment in the
 // repository is reproducible bit-for-bit.

@@ -191,88 +191,3 @@ func ApplyEvent(states map[EntityID]EntityState, e Event) {
 		delete(states, e.Entity)
 	}
 }
-
-// DiffSnapshots derives the events that transform prev into next, stamped
-// at next.At: entities present only in next appear, entities present only
-// in prev disappear, and entities whose version advanced update. This is
-// how a log is reconstructed from an archive of periodic full snapshots —
-// the form real source dumps arrive in. A version that moved backwards is
-// reported as no event (the newer snapshot's version is kept by replay
-// semantics anyway).
-func DiffSnapshots(prev, next *Snapshot) []Event {
-	var out []Event
-	for id, st := range next.States {
-		pst, ok := prev.States[id]
-		switch {
-		case !ok:
-			out = append(out, Event{Entity: id, Kind: Appear, At: next.At, Version: st.Version})
-		case st.Version > pst.Version:
-			out = append(out, Event{Entity: id, Kind: Update, At: next.At, Version: st.Version})
-		}
-	}
-	for id, pst := range prev.States {
-		if _, ok := next.States[id]; !ok {
-			out = append(out, Event{Entity: id, Kind: Disappear, At: next.At, Version: pst.Version})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out
-}
-
-// LogFromSnapshots reconstructs an event log from a time-ordered sequence
-// of full snapshots. The first snapshot's contents appear at its own tick.
-func LogFromSnapshots(snaps []*Snapshot) (*Log, error) {
-	l := NewLog()
-	if len(snaps) == 0 {
-		return l, nil
-	}
-	empty := &Snapshot{At: snaps[0].At, States: map[EntityID]EntityState{}}
-	prev := empty
-	for i, s := range snaps {
-		if i > 0 && s.At <= prev.At {
-			return nil, fmt.Errorf("timeline: snapshots out of order at %d", s.At)
-		}
-		for _, e := range DiffSnapshots(prev, s) {
-			l.Append(e)
-		}
-		prev = s
-	}
-	return l, nil
-}
-
-// Scanner iterates a log tick by tick, maintaining the running snapshot
-// incrementally. It is the building block for computing quality timelines
-// without re-materialising from scratch at every tick.
-type Scanner struct {
-	log    *Log
-	pos    int
-	now    Tick
-	states map[EntityID]EntityState
-}
-
-// NewScanner returns a scanner positioned before the first event.
-func NewScanner(l *Log) *Scanner {
-	l.ensureSorted()
-	return &Scanner{log: l, now: -1, states: make(map[EntityID]EntityState)}
-}
-
-// AdvanceTo applies all events with At ≤ t. It panics if t is behind the
-// scanner's current position.
-func (s *Scanner) AdvanceTo(t Tick) {
-	if t < s.now {
-		panic(fmt.Sprintf("timeline: scanner moved backwards: %d < %d", t, s.now))
-	}
-	ev := s.log.events
-	for s.pos < len(ev) && ev[s.pos].At <= t {
-		ApplyEvent(s.states, ev[s.pos])
-		s.pos++
-	}
-	s.now = t
-}
-
-// States returns the scanner's current entity states. The map is owned by
-// the scanner and must not be modified.
-func (s *Scanner) States() map[EntityID]EntityState { return s.states }
-
-// Now returns the scanner's current tick.
-func (s *Scanner) Now() Tick { return s.now }

@@ -126,54 +126,6 @@ func TestApplyEventStaleUpdateIgnored(t *testing.T) {
 	}
 }
 
-func TestScannerMatchesMaterialize(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	l := NewLog()
-	// Random but valid per-entity life cycles.
-	for id := 0; id < 50; id++ {
-		born := Tick(r.Intn(50))
-		l.Append(Event{Entity: EntityID(id), Kind: Appear, At: born})
-		v := 0
-		cur := born
-		for r.Intn(3) != 0 {
-			cur += Tick(1 + r.Intn(10))
-			v++
-			l.Append(Event{Entity: EntityID(id), Kind: Update, At: cur, Version: v})
-		}
-		if r.Intn(2) == 0 {
-			l.Append(Event{Entity: EntityID(id), Kind: Disappear, At: cur + Tick(1+r.Intn(10)), Version: v})
-		}
-	}
-	sc := NewScanner(l)
-	for _, tick := range []Tick{0, 5, 17, 30, 60, 100} {
-		sc.AdvanceTo(tick)
-		want := Materialize(l, tick)
-		if len(sc.States()) != want.Size() {
-			t.Fatalf("scanner@%d size %d != materialize %d", tick, len(sc.States()), want.Size())
-		}
-		for id, st := range want.States {
-			got, ok := sc.States()[id]
-			if !ok || got != st {
-				t.Fatalf("scanner@%d state for %d = %+v, want %+v", tick, id, got, st)
-			}
-		}
-		if sc.Now() != tick {
-			t.Fatalf("Now = %d", sc.Now())
-		}
-	}
-}
-
-func TestScannerBackwardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic when moving backwards")
-		}
-	}()
-	sc := NewScanner(NewLog())
-	sc.AdvanceTo(5)
-	sc.AdvanceTo(3)
-}
-
 func TestQuickMaterializeEquivalentUnderShuffle(t *testing.T) {
 	// Property: event insertion order does not affect the materialized
 	// snapshot (the log sorts deterministically).

@@ -4,8 +4,9 @@
 //	-ldflags "-X freshsource/internal/version.Version=<git describe>
 //	          -X freshsource/internal/version.Commit=<git rev-parse>"
 //
-// so /healthz and the freshbench run header can report exactly which build
-// is serving; a plain `go build` leaves the dev defaults in place.
+// so /healthz, the daemons' -version output and benchjson reports can name
+// exactly which build ran; a plain `go build` leaves the dev defaults in
+// place.
 package version
 
 import "runtime"

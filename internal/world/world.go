@@ -292,6 +292,24 @@ func (w *World) spawn(spec SubdomainSpec, born timeline.Tick, g *stats.RNG) {
 	w.byPoint[spec.Point] = append(w.byPoint[spec.Point], id)
 }
 
+// CheckEvent reports why a source event read from outside the program
+// cannot belong to this world: its entity lies outside [0, NumEntities),
+// its kind is unknown or its version is negative. Snapshot loading and
+// streamed observations both check through it, so the two decoders of
+// outside events accept the same events.
+func (w *World) CheckEvent(e timeline.Event) error {
+	if n := len(w.entities); e.Entity < 0 || int(e.Entity) >= n {
+		return fmt.Errorf("entity %d outside [0, %d)", e.Entity, n)
+	}
+	if e.Kind > timeline.Disappear {
+		return fmt.Errorf("unknown event kind %d", e.Kind)
+	}
+	if e.Version < 0 {
+		return fmt.Errorf("negative version %d", e.Version)
+	}
+	return nil
+}
+
 // Horizon returns the exclusive end of the simulated window.
 func (w *World) Horizon() timeline.Tick { return w.horizon }
 
