@@ -41,9 +41,6 @@ type TrainOptions struct {
 	// MaxT is the largest future tick that will be queried; it defaults to
 	// the world horizon − 1.
 	MaxT timeline.Tick
-	// PerItemCost is the base item cost of the shared-item cost model; it
-	// defaults to the paper's $10.
-	PerItemCost float64
 	// FreqDivisors, when non-empty, adds an S^m candidate per source and
 	// divisor m (Definition 4); selection then enforces at most one
 	// version per source.
@@ -93,25 +90,23 @@ func TrainContext(ctx context.Context, w *world.World, srcs []*source.Source, t0
 	return FromEstimator(est, t0, opt)
 }
 
-// FromEstimator finishes training from an already-fitted base estimator:
-// it derives the frequency-variant candidates and the cost model that
-// Train would have built. The persistent model cache uses it to turn a
-// loaded estimator into a Trained without re-running any statistical fit;
-// est must be a base fit (divisor-1 candidates only) and is mutated when
-// opt.FreqDivisors is non-empty.
+// FromEstimator finishes training from an already-fitted base estimator
+// (divisor-1 candidates only): it derives the frequency-variant candidates
+// and the cost model that Train would have built, without re-running any
+// statistical fit. The persistent model cache uses it to turn a loaded
+// estimator into a Trained, and the serving registry to derive every
+// divisor list from one fit per generation.
 func FromEstimator(est *estimate.Estimator, t0 timeline.Tick, opt TrainOptions) (*Trained, error) {
-	constrained := false
-	if len(opt.FreqDivisors) > 0 {
-		if _, err := est.AddFrequencyVariants(opt.FreqDivisors); err != nil {
+	constrained := len(opt.FreqDivisors) > 0
+	if constrained {
+		var err error
+		if est, err = est.WithFrequencyVariants(opt.FreqDivisors); err != nil {
 			return nil, err
 		}
-		constrained = true
 	}
-	perItem := opt.PerItemCost
-	if perItem == 0 {
-		perItem = 10
-	}
-	cost, err := gain.NewSharedItemCost(est, perItem)
+	// The paper's $10 per item. The item cost scales every candidate's
+	// cost and the total alike, so no consumer's ratio depends on it.
+	cost, err := gain.NewSharedItemCost(est, 10)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func TestSetLinearOmegaMatchesEq14(t *testing.T) {
 	lin := e.Quality([]int{0}, tk)
 	var wantOmega float64
 	for j := range e.Points() {
-		wantOmega += e.Model(j).ExpectedOmegaLinear(tk)
+		wantOmega += e.models[j].ExpectedOmegaLinear(tk)
 	}
 	if math.Abs(lin.ExpectedOmega-wantOmega) > 1e-9 {
 		t.Errorf("linear omega %v != Eq.14 sum %v", lin.ExpectedOmega, wantOmega)

@@ -296,13 +296,13 @@ func TestGlobalFreshnessMonotoneAndSubmodular(t *testing.T) {
 
 func TestFrequencyVariantsLagBase(t *testing.T) {
 	w := testWorld(t)
-	e := buildEstimator(t, w)
-	base := e.NumCandidates()
-	total, err := e.AddFrequencyVariants([]int{2, 4})
+	b := buildEstimator(t, w)
+	base := b.NumCandidates()
+	e, err := b.WithFrequencyVariants([]int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != base*3 {
+	if total := e.NumCandidates(); total != base*3 {
 		t.Fatalf("total candidates = %d, want %d", total, base*3)
 	}
 	// A slower acquisition of the same source can only have lower or equal
@@ -327,9 +327,10 @@ func TestFrequencyVariantsLagBase(t *testing.T) {
 
 func TestVariantsShareTables(t *testing.T) {
 	w := testWorld(t)
-	e := buildEstimator(t, w)
-	base := e.NumCandidates()
-	if _, err := e.AddFrequencyVariants([]int{3}); err != nil {
+	b := buildEstimator(t, w)
+	base := b.NumCandidates()
+	e, err := b.WithFrequencyVariants([]int{3})
+	if err != nil {
 		t.Fatal(err)
 	}
 	c0, cv := e.Candidate(0), e.Candidate(base)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"freshsource/internal/bitset"
@@ -197,9 +198,9 @@ func (f *fitSpec) fit(ctx context.Context, t0 timeline.Tick, profileOf func(i in
 // the data the selection probe walks in candidate order into sequential
 // memory and drops the allocation count to two. Each candidate's slices are
 // re-sliced full-capacity views into the arena, so pointer identity of
-// &c.gi[0] etc. is stable afterwards — AddFrequencyVariants copies these
-// slice headers, which is why the repack must run before variants are added
-// (both fit and cache-load paths do; the aliasing is pinned by
+// &c.gi[0] etc. is stable afterwards — WithFrequencyVariants copies these
+// slice headers, which is why the repack must run before variants are
+// derived (both fit and cache-load paths do; the aliasing is pinned by
 // TestFrequencyVariantsShareTables).
 func (e *Estimator) compactTables() {
 	var nf, nb int
@@ -334,19 +335,31 @@ func (e *Estimator) SetLinearOmega(on bool) {
 	}
 }
 
-// AddFrequencyVariants appends, for every base candidate (divisor 1),
-// variants acquired at each of the given divisors. It returns the total
-// number of candidates.
+// WithFrequencyVariants returns an estimator whose candidates are e's
+// followed, for every base candidate (divisor 1), by variants acquired at
+// each of the given divisors. e is left as it was, so one fit can back any
+// number of divisor lists: the result shares e's world models, masks,
+// lookup tables and candidates and owns only its candidate slice, so its
+// appends never write into the array e's readers walk. SetLinearOmega
+// rewrites the shared intensity tables, so on either estimator it changes
+// what both read.
 //
 // Variants alias their base's tabulated effectiveness tables, coverage
 // flags and signature bitsets rather than recomputing them — the tables
 // describe the underlying source, not the acquisition schedule, so the
 // O(variants × maxDelay) re-tabulation would be pure waste (and the
 // persistent model cache leans on the same invariant: it stores only
-// divisor-1 candidates and re-derives variants on load). The aliasing is
+// divisor-1 candidates and re-derives variants on load). The sharing is
 // pinned by TestFrequencyVariantsShareTables.
-func (e *Estimator) AddFrequencyVariants(divisors []int) (int, error) {
+func (e *Estimator) WithFrequencyVariants(divisors []int) (*Estimator, error) {
 	base := len(e.cands)
+	v := &Estimator{
+		T0: e.T0, MaxT: e.MaxT, Literal: e.Literal, NoAlignment: e.NoAlignment, linearOmega: e.linearOmega,
+		points: e.points, models: e.models, masks: e.masks,
+		survDel: e.survDel, survUpd: e.survUpd,
+		lamIns: e.lamIns, lamDel: e.lamDel, lamUpd: e.lamUpd,
+		cands: slices.Grow(e.cands[:base:base], base*len(divisors)),
+	}
 	for i := 0; i < base; i++ {
 		c := e.cands[i]
 		if c.Divisor() != 1 {
@@ -358,9 +371,9 @@ func (e *Estimator) AddFrequencyVariants(divisors []int) (int, error) {
 			}
 			prof, err := c.Profile.WithDivisor(m)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			e.cands = append(e.cands, &Candidate{
+			v.cands = append(v.cands, &Candidate{
 				Profile:     prof,
 				SourceIndex: c.SourceIndex,
 				covers:      c.covers,
@@ -370,10 +383,10 @@ func (e *Estimator) AddFrequencyVariants(divisors []int) (int, error) {
 			})
 		}
 	}
-	obs.Counter("estimate.variants.added").Add(int64(len(e.cands) - base))
+	obs.Counter("estimate.variants.added").Add(int64(len(v.cands) - base))
 	// Three effectiveness tables shared (not re-tabulated) per variant.
-	obs.Counter("estimate.variants.tables_shared").Add(int64(3 * (len(e.cands) - base)))
-	return len(e.cands), nil
+	obs.Counter("estimate.variants.tables_shared").Add(int64(3 * (len(v.cands) - base)))
+	return v, nil
 }
 
 // NumCandidates returns the number of selectable candidates.
@@ -384,9 +397,6 @@ func (e *Estimator) Candidate(i int) *Candidate { return e.cands[i] }
 
 // Points returns the estimator's query domain.
 func (e *Estimator) Points() []world.DomainPoint { return e.points }
-
-// Model returns the world model of the i-th query point.
-func (e *Estimator) Model(i int) *WorldModel { return e.models[i] }
 
 // Quality estimates the quality of integrating the candidate set at tick t.
 // set holds candidate indices.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"freshsource/internal/source"
@@ -61,17 +62,40 @@ func TestNewFitCanceled(t *testing.T) {
 // the variant fast path and the model cache rely on: an S^m variant's
 // effectiveness tables, coverage flags and KM distributions are the base
 // candidate's — shared, not recomputed — because effectiveness describes
-// the source, not the acquisition schedule.
+// the source, not the acquisition schedule. The derived estimator shares
+// its base's lookup tables and candidates too, and leaves the base as it
+// was: the serving registry derives every divisor list from one fit.
 func TestFrequencyVariantsShareTables(t *testing.T) {
 	w := testWorld(t)
-	e := buildEstimator(t, w)
-	base := e.NumCandidates()
-	n, err := e.AddFrequencyVariants([]int{2, 3})
+	fit := buildEstimator(t, w)
+	base := fit.NumCandidates()
+	// Spare capacity in the base's candidate slice must not be lent out:
+	// every derived list appends into an array of its own.
+	fit.cands = slices.Grow(fit.cands, 3*base)
+	e, err := fit.WithFrequencyVariants([]int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := e.NumCandidates()
 	if n != 3*base {
 		t.Fatalf("got %d candidates, want %d", n, 3*base)
+	}
+	if fit.NumCandidates() != base {
+		t.Fatalf("base estimator grew to %d candidates, want %d", fit.NumCandidates(), base)
+	}
+	if &e.survDel[0][0] != &fit.survDel[0][0] || &e.lamIns[0][0] != &fit.lamIns[0][0] || e.masks[0] != fit.masks[0] || e.models[0] != fit.models[0] {
+		t.Error("derived estimator does not share the base's models and lookup tables")
+	}
+	for i := 0; i < base; i++ {
+		if e.Candidate(i) != fit.Candidate(i) || &e.Candidate(i).gi[0] != &fit.Candidate(i).gi[0] {
+			t.Errorf("derived candidate %d is not the base's", i)
+		}
+	}
+	if &e.cands[0] == &fit.cands[0] {
+		t.Error("derived estimator appends into the base's candidate array")
+	}
+	if e5, err := fit.WithFrequencyVariants([]int{5}); err != nil || e5.Candidate(base).Divisor() != 5 || e.Candidate(base).Divisor() != 2 {
+		t.Errorf("a second derivation disturbed the first (err %v)", err)
 	}
 	for vi := base; vi < n; vi++ {
 		v := e.Candidate(vi)
@@ -109,8 +133,9 @@ func TestExportFromFittedRoundTrip(t *testing.T) {
 
 func TestExportRejectsDerivedCandidates(t *testing.T) {
 	w := testWorld(t)
-	e := buildEstimator(t, w)
-	if _, err := e.AddFrequencyVariants([]int{2}); err != nil {
+	b := buildEstimator(t, w)
+	e, err := b.WithFrequencyVariants([]int{2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Export(); err == nil {

@@ -29,7 +29,7 @@ type Fitted struct {
 	// Models[j] is the world model of Points[j].
 	Models []FittedModel
 	// Candidates hold only divisor-1 base candidates, in source order;
-	// frequency variants are derived on load (AddFrequencyVariants), never
+	// frequency variants are derived on load (WithFrequencyVariants), never
 	// persisted — they share the base's tables by construction.
 	Candidates []FittedCandidate
 	// Universe is the entity-universe size of the signature bitsets.
@@ -70,9 +70,9 @@ type FittedCandidate struct {
 }
 
 // Export snapshots the estimator's fitted state for persistence. It must
-// be called on a base fit — before AddFrequencyVariants — because the cache
-// re-derives variants on load; an estimator with derived candidates is
-// rejected.
+// be called on a base fit, not on one WithFrequencyVariants returned,
+// because the cache re-derives variants on load; an estimator with derived
+// candidates is rejected.
 func (e *Estimator) Export() (*Fitted, error) {
 	f := &Fitted{
 		T0:     e.T0,

@@ -65,13 +65,6 @@ func NewAccumulator(ctx context.Context, w *world.World, srcs []*source.Source, 
 	return a, nil
 }
 
-// Cut returns the current training cut.
-func (a *Accumulator) Cut() timeline.Tick { return a.cut }
-
-// MaxT returns the largest future tick estimators built here support; the
-// cut must stay strictly below it.
-func (a *Accumulator) MaxT() timeline.Tick { return a.maxT }
-
 // Advance folds one committed epoch: the cut moves to newCut and each
 // source's tracker consumes its archived events in (cut, newCut] merged
 // with perSource[i] — that source's accepted streamed observations, sorted

@@ -26,8 +26,7 @@ import (
 //     SetLinearOmega toggles (t0 counts stay valid, but cached results
 //     should be re-derived for apples-to-apples comparisons).
 type SetState struct {
-	e   *Estimator
-	set []int
+	e *Estimator
 
 	// uB, uCov and uUp are the set's union signatures; all nil for the
 	// empty set.
@@ -103,17 +102,12 @@ func (e *Estimator) buildMiss(covering [][]*Candidate, t timeline.Tick) *tickMis
 	return m
 }
 
-// Set returns the candidate set the state was built from (not a copy; do
-// not mutate).
-func (st *SetState) Set() []int { return st.set }
-
 // NewSetState builds the cached state of a candidate set. The work is the
 // same as the set-dependent prefix of QualityMulti: one signature union
 // pass plus 3·|points| intersect counts.
 func (e *Estimator) NewSetState(set []int) *SetState {
 	st := &SetState{
 		e:    e,
-		set:  append([]int(nil), set...),
 		miss: make([]atomic.Pointer[tickMiss], int(e.MaxT-e.T0)+1),
 	}
 

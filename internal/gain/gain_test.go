@@ -162,9 +162,10 @@ func TestSharedItemCost(t *testing.T) {
 }
 
 func TestFrequencyDiscount(t *testing.T) {
-	e, _ := buildFixture(t)
-	base := e.NumCandidates()
-	if _, err := e.AddFrequencyVariants([]int{2, 5}); err != nil {
+	b, _ := buildFixture(t)
+	base := b.NumCandidates()
+	e, err := b.WithFrequencyVariants([]int{2, 5})
+	if err != nil {
 		t.Fatal(err)
 	}
 	cm, err := NewSharedItemCost(e, 10)

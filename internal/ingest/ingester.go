@@ -440,9 +440,8 @@ func (in *Ingester) Ack(seq uint64) {
 }
 
 // extendedSources rebuilds each source over archived + streamed events, so
-// the published generation's dataset (and its digest, freshness lookups and
-// any cold divisor-variant fits) sees exactly the event universe the
-// incremental refit saw.
+// the published generation's dataset (and its digest and freshness
+// lookups) sees exactly the event universe the incremental refit saw.
 func (in *Ingester) extendedSources() ([]*source.Source, error) {
 	out := make([]*source.Source, len(in.d.Sources))
 	for i, s := range in.d.Sources {

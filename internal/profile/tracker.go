@@ -63,9 +63,6 @@ func NewTracker(w *world.World, s *source.Source, t0 timeline.Tick, dom *Domain)
 	return tr, nil
 }
 
-// Cut returns the tracker's current training cut.
-func (tr *Tracker) Cut() timeline.Tick { return tr.cut }
-
 // observe folds one event into all three statistics. Events must arrive in
 // timeline.Less order across the tracker's whole lifetime.
 func (tr *Tracker) observe(ev timeline.Event) {

@@ -158,7 +158,8 @@ func (s *Server) handleFreshness(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Base candidates map 1:1 onto sources; index the profiles by source
-	// so divisor variants (if a non-base fit ever lands here) are skipped.
+	// so divisor variants (if a derived model set ever lands here) are
+	// skipped.
 	profiles := make(map[int]*profile.Profile, len(d.Sources))
 	for i := 0; i < tr.NumCandidates(); i++ {
 		c := tr.Est.Candidate(i)

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"slices"
@@ -138,15 +140,33 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeBody(w, code, body)
 }
 
-// decodeBody strictly decodes a JSON request body (unknown fields are a 400:
-// a misspelled option silently falling back to a default would be worse).
-// The body is capped at cfg.MaxBodyBytes: a public daemon must not let one
-// oversized POST allocate unboundedly, so past the cap the connection is
-// cut off and the client gets 413.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// decodeStrict decodes exactly one JSON value from r into v. Unknown fields
+// are an error, and so is anything but whitespace after the value: a
+// second document riding along unread would be silently dropped.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), r))
+	if err != nil {
+		return err
+	}
+	if rest = bytes.TrimLeft(rest, " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("trailing data after the JSON value: %q", rest[:min(len(rest), 32)])
+	}
+	return nil
+}
+
+// decodeBody strictly decodes a JSON request body (decodeStrict: unknown
+// fields or trailing data are a 400 — a misspelled option silently
+// falling back to a default would be worse). The body is capped at
+// cfg.MaxBodyBytes: a public daemon must not let one oversized POST
+// allocate unboundedly, so past the cap the connection is cut off and the
+// client gets 413.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			obs.Counter("serve.body_too_large").Inc()
@@ -221,9 +241,9 @@ func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) 
 }
 
 // maxDivisors bounds the divisors list of /v1/select and /v1/quality. Each
-// distinct list is its own registry key and a full detached fit, and every
-// entry adds one candidate per source, so a long list is refused rather
-// than fitted; 8 covers the paper's {2,…,7} sweep.
+// distinct list is its own registry entry, derived from the base fit, and
+// every entry adds one candidate per source, so a long list is refused
+// rather than derived; 8 covers the paper's {2,…,7} sweep.
 const maxDivisors = 8
 
 // maxRounds bounds GRASP's round count r on /v1/select. Every round is a

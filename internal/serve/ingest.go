@@ -148,13 +148,14 @@ func (s *Server) CommitTenantEpoch(ctx context.Context, name string) (*EpochInfo
 // The publish mirrors a hot reload's swap semantics: the new generation's
 // dataset carries the extended sources with the training cut advanced to
 // the epoch watermark, its registry is seeded with the refit model set
-// (no cold fit), and in-flight requests finish on the generation they
-// started with. On any failure the last-good generation keeps serving and
-// the epoch stays dirty — the ingester is Acked only after the generation
-// swap, so a publish that fails at any stage ("ingest.publish" fault seam,
-// dataset validation, model derivation) is retried by the next commit even
-// if no new observations arrive. Commits are serialized per tenant (under
-// the same lock as reloads); different tenants commit independently.
+// (no cold fit; divisor lists derive from it), and in-flight requests
+// finish on the generation they started with. On any failure the
+// last-good generation keeps serving and the epoch stays dirty — the
+// ingester is Acked only after the generation swap, so a publish that
+// fails at any stage ("ingest.publish" fault seam, dataset validation,
+// model derivation) is retried by the next commit even if no new
+// observations arrive. Commits are serialized per tenant (under the same
+// lock as reloads); different tenants commit independently.
 func (s *Server) commitTenantEpoch(ctx context.Context, t *Tenant) (*EpochInfo, error) {
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()
@@ -183,7 +184,7 @@ func (s *Server) commitTenantEpoch(ctx context.Context, t *Tenant) (*EpochInfo, 
 		obs.Counter("serve.ingest.epoch_failures").Inc()
 		return nil, fmt.Errorf("serve: epoch %d: %w", ep.Seq, err)
 	}
-	tr, err := core.FromEstimator(ep.Est, ep.Watermark, core.TrainOptions{FitWorkers: s.cfg.FitWorkers})
+	tr, err := core.FromEstimator(ep.Est, ep.Watermark, core.TrainOptions{})
 	if err != nil {
 		obs.Counter("serve.ingest.epoch_failures").Inc()
 		return nil, fmt.Errorf("serve: epoch %d: %w", ep.Seq, err)

@@ -16,27 +16,25 @@ import (
 	"freshsource/internal/timeline"
 )
 
-// Registry keeps everything fitted or derived from the server's snapshot
-// warm across requests, so repeated queries skip refitting:
+// Registry keeps what one generation serves from warm across requests:
 //
-//   - trained: fitted world models + profiles + cost model per frequency-
-//     divisor configuration (key "2,3,4" in request order, "" = base).
-//     Fitting is the expensive step; it runs once per configuration, with
-//     concurrent requests for the same key waiting on the first fit.
-//   - problems: assembled selection problems per (divisors, gain, metric,
-//     budget, Tf) — the profit oracle and matroid constraints.
-//   - states: estimate.SetState per (divisors, explicit candidate set) —
-//     the /v1/quality warm path; each state lazily accumulates per-tick
-//     miss products, so overlapping Tf vectors get cheaper over time.
-//   - results: marshaled /v1/select response bodies per canonical request,
-//     making a repeated query a map lookup (and byte-identical by
-//     construction).
+//   - trained: the base model set (key ""), the generation's only
+//     statistical fit — from the persistent model cache, a cold fit, or an
+//     ingest epoch's refit (SeedTrained) — plus one entry per
+//     frequency-divisor list (key "2,3,4" in request order), derived from
+//     the base by core.FromEstimator in about 1 ms per 1k sources. Each
+//     entry is computed once; concurrent requests for it wait on the first.
+//   - results: marshaled /v1/select and /v1/quality response bodies per
+//     canonical request, making a repeated query a map lookup (and
+//     byte-identical by construction).
 //
-// All caches are bounded by maxEntries; on overflow a cache resets
-// wholesale (an epoch flush — simple, and the refit cost is the same as a
-// cold start for the flushed keys only). Hit/miss counters live under
-// serve.registry.* in the obs snapshot; the warm hit rate is
-// result_hits / (result_hits + result_misses).
+// Problem and State build per call: a request that misses the result
+// cache almost never shares its problem or set with an earlier one.
+//
+// Both maps are bounded by maxEntries; on overflow a map resets wholesale
+// (an epoch flush), except that the base entry survives every reset.
+// Hit/miss counters live under serve.registry.* in the obs snapshot; the
+// warm hit rate is result_hits / (result_hits + result_misses).
 type Registry struct {
 	d          *dataset.Dataset
 	max        int
@@ -52,15 +50,14 @@ type Registry struct {
 	fitCtx    context.Context
 	fitCancel context.CancelFunc
 
-	mu       sync.Mutex
-	trained  map[string]*trainedEntry
-	problems map[string]*core.Problem
-	states   map[string]*estimate.SetState
-	results  map[string][]byte
+	mu      sync.Mutex
+	trained map[string]*trainedEntry
+	results map[string][]byte
 }
 
-// trainedEntry is a fit-once slot: the first requester starts a detached
-// fit, everyone (including the first requester) waits on ready.
+// trainedEntry is a compute-once slot: the first requester starts a
+// detached computation, everyone (including the first requester) waits
+// on ready.
 type trainedEntry struct {
 	ready chan struct{}
 	tr    *core.Trained
@@ -71,7 +68,7 @@ type trainedEntry struct {
 // registry's lifetime: fits in flight are canceled when it is canceled (or
 // when Close is called). fitWorkers bounds the model-fitting pool (0 =
 // GOMAXPROCS); mc, when non-nil, is the persistent model cache consulted
-// before any fit — a verified disk hit skips the statistical fitting
+// before the base fit — a verified disk hit skips the statistical fitting
 // entirely, which is what makes a restart over an unchanged snapshot fast.
 func NewRegistry(base context.Context, d *dataset.Dataset, maxEntries, fitWorkers int, mc *modelcache.Cache) *Registry {
 	if base == nil {
@@ -86,8 +83,6 @@ func NewRegistry(base context.Context, d *dataset.Dataset, maxEntries, fitWorker
 		fitCtx:     ctx,
 		fitCancel:  cancel,
 		trained:    make(map[string]*trainedEntry),
-		problems:   make(map[string]*core.Problem),
-		states:     make(map[string]*estimate.SetState),
 		results:    make(map[string][]byte),
 	}
 }
@@ -110,31 +105,20 @@ func DivKey(divisors []int) string {
 	return strings.Join(parts, ",")
 }
 
-// Trained returns the fitted models for a divisor configuration, fitting on
-// first use. The fit itself runs detached, under the registry's lifecycle
-// context rather than ctx: one request's fired deadline must not poison the
-// shared fit for every other waiter queued on it. ctx only bounds this
-// caller's wait — on expiry the caller gets its own ctx.Err() while the fit
-// continues and is cached. A failed fit is not cached, so the next request
-// retries.
+// Trained returns the model set for a divisor configuration: the base fit
+// for none, else the base's derived variants, computing either on first
+// use. The computation runs detached, under the registry's lifecycle
+// context rather than ctx: one request's fired deadline must not poison
+// the shared entry for every other waiter queued on it. ctx only bounds
+// this caller's wait — on expiry the caller gets its own ctx.Err() while
+// the computation continues and is cached. A failed entry is not cached,
+// so the next request retries.
 func (r *Registry) Trained(ctx context.Context, divisors []int) (*core.Trained, error) {
-	key := DivKey(divisors)
-	r.mu.Lock()
-	e, ok := r.trained[key]
-	if !ok {
-		e = &trainedEntry{ready: make(chan struct{})}
-		if len(r.trained) >= r.max {
-			r.trained = make(map[string]*trainedEntry)
-			obs.Counter("serve.registry.evictions").Inc()
-		}
-		r.trained[key] = e
-		go r.fit(key, e, divisors)
-	}
-	r.mu.Unlock()
-	if ok {
-		obs.Counter("serve.registry.trained_hits").Inc()
-	} else {
+	e, started := r.entry(DivKey(divisors), divisors)
+	if started {
 		obs.Counter("serve.registry.trained_misses").Inc()
+	} else {
+		obs.Counter("serve.registry.trained_hits").Inc()
 	}
 
 	select {
@@ -146,15 +130,46 @@ func (r *Registry) Trained(ctx context.Context, divisors []int) (*core.Trained, 
 	}
 }
 
-// fit runs the detached model fit for one trained entry and publishes the
-// outcome by closing ready. A failed entry is removed from the map (if the
-// map still holds it — an epoch flush may have dropped it already), so the
-// next request refits.
-func (r *Registry) fit(key string, e *trainedEntry, divisors []int) {
+// entry returns the trained entry for key, starting its detached
+// computation when the map has none; started reports that it did. A full
+// map is flushed first, keeping only the base entry.
+func (r *Registry) entry(key string, divisors []int) (e *trainedEntry, started bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cached, ok := r.trained[key]; ok {
+		return cached, false
+	}
+	if len(r.trained) >= r.max {
+		base, ok := r.trained[""]
+		r.trained = make(map[string]*trainedEntry)
+		if ok {
+			r.trained[""] = base
+		}
+		obs.Counter("serve.registry.evictions").Inc()
+	}
+	e = &trainedEntry{ready: make(chan struct{})}
+	r.trained[key] = e
+	go r.compute(key, e, divisors)
+	return e, true
+}
+
+// compute fills one trained entry and publishes the outcome by closing
+// ready. The base entry loads or fits the generation's models; a divisor
+// entry waits for the base and derives its candidates and cost model from
+// it. A failed entry is removed from the map (if the map still holds it —
+// an epoch flush may have dropped a divisor entry already), so the next
+// request retries.
+func (r *Registry) compute(key string, e *trainedEntry, divisors []int) {
 	defer close(e.ready)
-	opt := core.TrainOptions{FreqDivisors: divisors, FitWorkers: r.fitWorkers}
+	opt := core.TrainOptions{FitWorkers: r.fitWorkers}
 	if err := faults.Inject("serve.fit"); err != nil {
 		e.err = fmt.Errorf("fit %q: %w", key, err)
+	} else if key != "" {
+		base, _ := r.entry("", nil)
+		<-base.ready
+		if e.err = base.err; e.err == nil {
+			e.tr, e.err = core.FromEstimator(base.tr.Est, base.tr.T0(), core.TrainOptions{FreqDivisors: divisors})
+		}
 	} else if r.mc != nil {
 		var status modelcache.Status
 		e.tr, status, e.err = r.mc.LoadOrFit(r.fitCtx, r.d, opt)
@@ -171,11 +186,10 @@ func (r *Registry) fit(key string, e *trainedEntry, divisors []int) {
 	}
 }
 
-// SeedTrained pre-populates the base (no-divisor) trained entry with an
-// already fitted model set, so a generation published by the ingestion
-// epoch path serves immediately without refitting what the incremental
-// refit just produced. Divisor-variant configurations still fit lazily
-// from the generation's (extended) sources on first use.
+// SeedTrained installs an already fitted base model set, so a generation
+// published by the ingestion epoch path serves immediately without
+// refitting what the incremental refit just produced. Divisor lists derive
+// from it on first use, like from any other base.
 func (r *Registry) SeedTrained(tr *core.Trained) {
 	e := &trainedEntry{ready: make(chan struct{}), tr: tr}
 	close(e.ready)
@@ -184,81 +198,37 @@ func (r *Registry) SeedTrained(tr *core.Trained) {
 	r.mu.Unlock()
 }
 
-// Problem returns the assembled selection problem for (divisors, gain,
-// metric, budget, ticks), building and caching it over the warm Trained.
+// Problem builds the selection problem for (divisors, gain, metric,
+// budget, ticks) over the warm Trained. Every call builds (counted under
+// serve.registry.problem_misses): only the response is cached.
 func (r *Registry) Problem(ctx context.Context, divisors []int, gainName, metric string, budget float64, ticks []timeline.Tick) (*core.Problem, error) {
 	tr, err := r.Trained(ctx, divisors)
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s|%s|%s|%g|%s", DivKey(divisors), gainName, metric, budget, tickKey(ticks))
-
-	r.mu.Lock()
-	if p, ok := r.problems[key]; ok {
-		r.mu.Unlock()
-		obs.Counter("serve.registry.problem_hits").Inc()
-		return p, nil
-	}
-	r.mu.Unlock()
 	obs.Counter("serve.registry.problem_misses").Inc()
-
 	g, err := MakeGain(gainName, metric, r.d.World.NumEntities())
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewProblem(tr, ticks, g, core.ProblemOptions{Budget: budget})
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if prev, ok := r.problems[key]; ok {
-		p = prev // a concurrent builder won; converge on one instance
-	} else {
-		if len(r.problems) >= r.max {
-			r.problems = make(map[string]*core.Problem)
-			obs.Counter("serve.registry.evictions").Inc()
-		}
-		r.problems[key] = p
-	}
-	r.mu.Unlock()
-	return p, nil
+	return core.NewProblem(tr, ticks, g, core.ProblemOptions{Budget: budget})
 }
 
-// State returns the warm evaluation state of an explicit candidate set
-// (request order preserved — it is the fold order of the miss products).
+// State builds the evaluation state of an explicit candidate set (request
+// order preserved — it is the fold order of the miss products) over the
+// warm Trained, which it returns too. Every call builds (counted under
+// serve.registry.state_misses).
 func (r *Registry) State(ctx context.Context, divisors []int, set []int) (*estimate.SetState, *core.Trained, error) {
 	tr, err := r.Trained(ctx, divisors)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := DivKey(divisors) + "|" + tickKeyInts(set)
-
-	r.mu.Lock()
-	if st, ok := r.states[key]; ok {
-		r.mu.Unlock()
-		obs.Counter("serve.registry.state_hits").Inc()
-		return st, tr, nil
-	}
-	r.mu.Unlock()
 	obs.Counter("serve.registry.state_misses").Inc()
-
-	st := tr.Est.NewSetState(set)
-	r.mu.Lock()
-	if prev, ok := r.states[key]; ok {
-		st = prev
-	} else {
-		if len(r.states) >= r.max {
-			r.states = make(map[string]*estimate.SetState)
-			obs.Counter("serve.registry.evictions").Inc()
-		}
-		r.states[key] = st
-	}
-	r.mu.Unlock()
-	return st, tr, nil
+	return tr.Est.NewSetState(set), tr, nil
 }
 
 // CachedResult returns the marshaled response of an identical earlier
-// select request, if still cached.
+// select or quality request, if still cached.
 func (r *Registry) CachedResult(key string) ([]byte, bool) {
 	r.mu.Lock()
 	body, ok := r.results[key]
@@ -271,7 +241,7 @@ func (r *Registry) CachedResult(key string) ([]byte, bool) {
 	return body, ok
 }
 
-// PutResult caches a marshaled select response.
+// PutResult caches a marshaled select or quality response.
 func (r *Registry) PutResult(key string, body []byte) {
 	r.mu.Lock()
 	if len(r.results) >= r.max {
@@ -280,20 +250,4 @@ func (r *Registry) PutResult(key string, body []byte) {
 	}
 	r.results[key] = body
 	r.mu.Unlock()
-}
-
-func tickKey(ts []timeline.Tick) string {
-	parts := make([]string, len(ts))
-	for i, t := range ts {
-		parts[i] = strconv.FormatInt(int64(t), 10)
-	}
-	return strings.Join(parts, ",")
-}
-
-func tickKeyInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, ",")
 }

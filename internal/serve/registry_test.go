@@ -91,29 +91,34 @@ func TestRegistryCloseCancelsFitInFlight(t *testing.T) {
 }
 
 // TestEpochFlushWhileFitInFlight covers the registry's wholesale eviction
-// racing an in-flight fit: the dropped entry must still complete for the
-// waiters already queued on it, and re-requesting the flushed key must
-// refit cleanly — no deadlock, no double close.
+// racing an in-flight computation: the dropped entry must still complete
+// for the waiters already queued on it, and re-requesting the flushed key
+// must recompute cleanly — no deadlock, no double close. The base entry
+// survives every flush, so the race is staged on divisor entries.
 func TestEpochFlushWhileFitInFlight(t *testing.T) {
 	defer faults.Reset()
 	obs.Enable()
-	reg := NewRegistry(context.Background(), testDataset(t), 1, 0, nil)
+	reg := NewRegistry(context.Background(), testDataset(t), 2, 0, nil)
 	defer reg.Close()
+	if _, err := reg.Trained(context.Background(), nil); err != nil {
+		t.Fatalf("base fit: %v", err)
+	}
 
-	// Only the first fit (key "") is slowed, so it is still in flight
-	// when the second key arrives and triggers the epoch flush.
+	// Only the next computation (key "2") is slowed, so it is still in
+	// flight when the second key arrives and triggers the epoch flush.
 	faults.Set("serve.fit", faults.Fault{Delay: 100 * time.Millisecond, Times: 1})
 
-	evictions0 := counter("serve.registry.evictions")
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := reg.Trained(context.Background(), nil)
+		_, err := reg.Trained(context.Background(), []int{2})
 		firstDone <- err
 	}()
-	waitForTrainedEntry(t, reg, "")
+	waitForTrainedEntry(t, reg, "2")
 
-	// max=1, so this flushes the map while the "" fit is in flight.
-	if _, err := reg.Trained(context.Background(), []int{2}); err != nil {
+	// max=2 holds the base and "2", so this flushes "2" while it is in
+	// flight.
+	evictions0 := counter("serve.registry.evictions")
+	if _, err := reg.Trained(context.Background(), []int{3}); err != nil {
 		t.Fatalf("flushing key: %v", err)
 	}
 	if got := counter("serve.registry.evictions") - evictions0; got != 1 {
@@ -129,14 +134,14 @@ func TestEpochFlushWhileFitInFlight(t *testing.T) {
 		t.Fatal("waiter on the flushed entry deadlocked")
 	}
 
-	// The flushed key refits from scratch (its entry is gone) and must
+	// The flushed key recomputes from scratch (its entry is gone) and must
 	// complete — this used to be the double-close / deadlock hazard.
 	misses0 := counter("serve.registry.trained_misses")
-	tr, err := reg.Trained(context.Background(), nil)
+	tr, err := reg.Trained(context.Background(), []int{2})
 	if err != nil || tr == nil {
 		t.Fatalf("re-request after flush: %v", err)
 	}
 	if got := counter("serve.registry.trained_misses") - misses0; got != 1 {
-		t.Errorf("re-request was not a fresh fit (misses delta %d, want 1)", got)
+		t.Errorf("re-request was not a fresh computation (misses delta %d, want 1)", got)
 	}
 }

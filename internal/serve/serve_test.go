@@ -202,14 +202,6 @@ func TestQualityEndpoint(t *testing.T) {
 	if rec2.Body.String() != rec.Body.String() {
 		t.Error("cached quality response is not byte-identical")
 	}
-
-	// A different tick set over the same candidate set misses the result
-	// cache but reuses the memoized set state.
-	hits0 := counter("serve.registry.state_hits")
-	postJSON(t, srv.Handler(), "/v1/quality", `{"set":[0,2,5],"ticks":[160,210]}`)
-	if got := counter("serve.registry.state_hits") - hits0; got != 1 {
-		t.Errorf("state_hits delta = %d, want 1", got)
-	}
 }
 
 // TestSaturation429: with the gate full, a heavy request is rejected
@@ -284,6 +276,48 @@ func TestBadRequests(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/select", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET select: %d, want 405", rec.Code)
+	}
+}
+
+// TestTrailingJSONRejected: a body is exactly one JSON value. A second
+// document or garbage after the first gets 400 naming what trails, instead
+// of being dropped unread; a trailing newline stays legal.
+func TestTrailingJSONRejected(t *testing.T) {
+	srv := newServer(t, Config{})
+	defer srv.Close()
+	for _, tc := range []struct{ path, body, trail string }{
+		{"/v1/select", `{"algorithm":"greedy"}{"algorithm":"bogus"}`, `{"algorithm":"bogus"}`},
+		{"/v1/quality", `{"set":[0]} trailing-garbage`, `trailing-garbage`},
+		{"/v1/select", "{}\n\t null", `null`},
+	} {
+		rec := postJSON(t, srv.Handler(), tc.path, tc.body)
+		var resp errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s %q: error body %q: %v", tc.path, tc.body, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(resp.Error, fmt.Sprintf("trailing data after the JSON value: %q", tc.trail)) {
+			t.Errorf("%s %q: %d %q, want 400 naming %q", tc.path, tc.body, rec.Code, resp.Error, tc.trail)
+		}
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/select", "{\"algorithm\":\"greedy\"}\n"},
+		{"/v1/quality", "{\"set\":[0]}\r\n \n"},
+	} {
+		if rec := postJSON(t, srv.Handler(), tc.path, tc.body); rec.Code != http.StatusOK {
+			t.Errorf("%s %q: %d %s, want 200", tc.path, tc.body, rec.Code, rec.Body.String())
+		}
+	}
+
+	// A concatenated observe body is rejected whole: neither batch buffers.
+	ing := newServer(t, ingestConfig(""))
+	defer ing.Close()
+	t0 := int64(testDataset(t).T0)
+	body := observeBody(ev(0, 3, t0+5, "appear", 0)) + observeBody(ev(1, 3, t0+6, "update", 1))
+	if rec := postJSON(t, ing.Handler(), "/v1/observe", body); rec.Code != http.StatusBadRequest {
+		t.Errorf("concatenated observe: %d %s, want 400", rec.Code, rec.Body.String())
+	}
+	if got := ing.Ingester().Pending(); got != 0 {
+		t.Errorf("pending after a rejected concatenated body = %d, want 0", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -60,18 +60,16 @@ type tenantManifest struct {
 //
 // Each entry becomes a TenantSpec loaded from its snapshot directory.
 // Unknown fields are an error (a misspelled key silently dropping a tenant
-// would be worse), as are entries without a name or snapshot. Relative
-// snapshot paths are resolved against the manifest's own directory, so a
-// manifest can travel with its snapshots.
+// would be worse), as are data after the document and entries without a
+// name or snapshot. Relative snapshot paths are resolved against the
+// manifest's own directory, so a manifest can travel with its snapshots.
 func LoadTenantManifest(path string) ([]TenantSpec, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant manifest: %w", err)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
 	var m tenantManifest
-	if err := dec.Decode(&m); err != nil {
+	if err := decodeStrict(bytes.NewReader(raw), &m); err != nil {
 		return nil, fmt.Errorf("serve: tenant manifest %s: %w", path, err)
 	}
 	base := filepath.Dir(path)

@@ -337,6 +337,35 @@ func TestTenantManifest(t *testing.T) {
 	}
 }
 
+// TestTenantManifestTrailingData: a manifest is one JSON document. Two
+// concatenated documents, or garbage after the first, are an error naming
+// the file rather than a silently truncated tenant list; a trailing
+// newline stays legal.
+func TestTenantManifestTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	doc := `{"tenants":[{"name":"a","snapshot":"snap/a"}]}`
+	for name, tc := range map[string]struct {
+		body string
+		ok   bool
+	}{
+		"two-documents": {doc + `{"tenants":[{"name":"b","snapshot":"snap/b"}]}`, false},
+		"garbage":       {doc + " trailing-garbage", false},
+		"newline":       {doc + "\n", true},
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		specs, err := LoadTenantManifest(path)
+		switch {
+		case tc.ok && (err != nil || len(specs) != 1):
+			t.Errorf("%s: %d specs, %v; want 1 spec", name, len(specs), err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "trailing data")):
+			t.Errorf("%s: %d specs, err %v; want an error naming %s and the trailing data", name, len(specs), err, path)
+		}
+	}
+}
+
 // TestTenantNameValidation rejects unroutable names and duplicates.
 func TestTenantNameValidation(t *testing.T) {
 	for _, bad := range []string{"", "-lead", "has space", "q/x"} {
