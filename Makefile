@@ -76,10 +76,11 @@ race:
 # cache files, disk latency, mid-fit cancellation, reload under fire, and
 # the streaming-ingestion seams (torn epoch logs, replayed epochs,
 # refit-mid-stream failures) — driven through internal/faults and run
-# under the race detector. Then each fuzz target over bytes read from disk
-# (epoch-log recovery, the model-cache codec, snapshot reads, the tenant
-# manifest) runs for 10 s from its seed corpus: short, so every CI run
-# fuzzes each decoder a little. Minimising a new input is capped at
+# under the race detector. Then each fuzz target over outside bytes runs
+# for 10 s from its seed corpus: those read from disk (epoch-log recovery,
+# the model-cache codec, snapshot reads, the tenant manifest) and the
+# /v1/select and /v1/quality request bodies. Short, so every CI run fuzzes
+# each decoder a little. Minimising a new input is capped at
 # 100 ms: at Go's 60 s default one minimisation can stall a target's whole
 # window, and at 1 s the minimisations of a run's new inputs still fill
 # most of it.
@@ -91,6 +92,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 100ms ./internal/modelcache
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s -fuzzminimizetime 100ms ./internal/snapio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTenantManifest$$' -fuzztime 10s -fuzzminimizetime 100ms ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 10s -fuzzminimizetime 100ms ./internal/serve
 
 # Formatting + static analysis. gofmt failures print the offending files and
 # fail; staticcheck runs when installed (CI installs it; local dev without

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"freshsource/internal/dataset"
 	"freshsource/internal/gain"
+	"freshsource/internal/matroid"
 	"freshsource/internal/obs"
 	"freshsource/internal/selection"
 	"freshsource/internal/timeline"
@@ -127,15 +129,15 @@ func makeGain(name string, d *dataset.Dataset) gain.Function {
 // TestCELFMatchesFullScan is the differential behind routing greedy and
 // MaxSub through CELF: on every instance of the grid, greedy, lazygreedy
 // and maxsub return the same Set and bit-identical Value as the full scan
-// over the same oracle with its submodularity hidden. Under divisors,
-// maxsub runs the matroid local search, which has no add engine, so only
-// the unconstrained instances compare it. The test also checks the
-// assumption the rounding slack δ rests on: no re-probed marginal gain
-// rises above its stale bound by more than δ/2¹⁰.
+// over the same oracle with its submodularity hidden, in no more oracle
+// calls. Under divisors, maxsub runs the matroid search (Algorithms 2–3),
+// whose reference is scanMatroidMax. The test also checks the assumption
+// the rounding slack δ rests on: no re-probed marginal gain rises above
+// its stale bound by more than δ/2¹⁰.
 func TestCELFMatchesFullScan(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	instances := 0
+	instances, matroidRuns, matroidCalls, scanCalls := 0, 0, 0, 0
 	for _, w := range celfGrid() {
 		d, err := w.gen()
 		if err != nil {
@@ -168,26 +170,156 @@ func TestCELFMatchesFullScan(t *testing.T) {
 								t.Errorf("%s %s: %d oracle calls, the full scan %d", label, alg, got.OracleCalls, want.OracleCalls)
 							}
 						}
-						if len(divs) == 0 {
-							got, err := prob.Solve(MaxSub, SolveOptions{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireSameAnswer(t, label+" maxsub", selection.MaxSub(scan, n, 0.1), got)
+						got, err := prob.Solve(MaxSub, SolveOptions{})
+						if err != nil {
+							t.Fatal(err)
 						}
+						if len(divs) == 0 {
+							requireSameAnswer(t, label+" maxsub", selection.MaxSub(scan, n, 0.1), got)
+							continue
+						}
+						want = scanMatroidMax(scan, n, prob.ms, 0.1)
+						requireSameAnswer(t, label+" maxsub", want, got)
+						if got.OracleCalls > want.OracleCalls {
+							t.Errorf("%s maxsub: %d oracle calls, the full scan %d", label, got.OracleCalls, want.OracleCalls)
+						}
+						matroidRuns++
+						matroidCalls += got.OracleCalls
+						scanCalls += want.OracleCalls
 					}
 				}
 			}
 		}
 	}
 	rise := reg.Histogram("selection.celf.bound_rise")
-	t.Logf("%d instances; largest rise %.3g δ over %d rises; %d stale and %d slack-forced re-probes",
-		instances, rise.Max(), rise.Count(),
+	t.Logf("%d instances, %d under divisors: the matroid search made %d oracle calls, the full scan %d",
+		instances, matroidRuns, matroidCalls, scanCalls)
+	t.Logf("largest rise %.3g δ over %d rises; %d stale and %d slack-forced re-probes",
+		rise.Max(), rise.Count(),
 		reg.Counter("selection.celf.stale_recomputes").Value(),
 		reg.Counter("selection.celf.slack_recomputes").Value())
 	if m := rise.Max(); rise.Count() > 0 && m > 0x1p-10 {
 		t.Errorf("a marginal gain rose %.3g δ above its stale bound, want ≤ δ/2¹⁰", m)
 	}
+}
+
+// scanMatroidMax is MatroidMax (Algorithm 2 over Algorithm 3) written out
+// as a full scan: every run probes every singleton of its ground set, and
+// every exchange step evaluates every admissible exchange — bring in d,
+// dropping what blocks it — by a full Value call. Moves are gated by
+// (1+ε/n⁴), and the first strictly best move in index order wins.
+func scanMatroidMax(f selection.Oracle, n int, ms []matroid.Matroid, eps float64) selection.Result {
+	co := selection.Count(f)
+	calls0 := co.Calls()
+	ground := make([]int, n)
+	for i := range ground {
+		ground[i] = i
+	}
+	best := selection.Result{Value: math.Inf(-1)}
+	for i := 0; i <= len(ms) && len(ground) > 0; i++ {
+		set, cur := scanMatroidLocal(co, ground, ms, eps)
+		if cur > best.Value {
+			best.Set, best.Value = set, cur
+		}
+		ground = without(ground, set...)
+	}
+	if math.IsInf(best.Value, -1) {
+		best.Value = co.Value(nil)
+	}
+	best.OracleCalls = co.Calls() - calls0
+	return best
+}
+
+func scanMatroidLocal(f selection.Oracle, ground []int, ms []matroid.Matroid, eps float64) ([]int, float64) {
+	gateN := 0
+	for _, m := range ms {
+		gateN = max(gateN, m.N())
+	}
+	if gateN == 0 {
+		gateN = len(ground)
+	}
+	r := float64(gateN)
+	gate := func(v, cur float64) bool {
+		delta := eps / (r * r * r * r) * math.Abs(cur)
+		if delta < 1e-12 {
+			delta = 1e-12
+		}
+		return v > cur+delta
+	}
+	var set []int
+	cur := math.Inf(-1)
+	for _, d := range ground {
+		cand := []int{d}
+		if !matroid.AllIndependent(ms, cand) || !f.Feasible(cand) {
+			continue
+		}
+		if v := f.Value(cand); v > cur {
+			set, cur = cand, v
+		}
+	}
+	if set == nil {
+		return nil, f.Value(nil)
+	}
+	for {
+		moved := false
+		var next []int
+		bestVal := cur
+		for _, y := range set {
+			cand := without(set, y)
+			if v := f.Value(cand); gate(v, cur) && v > bestVal {
+				next, bestVal = cand, v
+			}
+		}
+		if next != nil {
+			set, cur, moved = next, bestVal, true
+		}
+		next, bestVal = nil, cur
+		for _, d := range ground {
+			if slices.Contains(set, d) {
+				continue
+			}
+			var drop []int
+			admissible := true
+			for _, m := range ms {
+				if m.CanAdd(without(set, drop...), d) {
+					continue
+				}
+				conf := m.Conflicts(set, d)
+				if conf == nil {
+					admissible = false
+					break
+				}
+				drop = append(drop, conf...)
+			}
+			if !admissible {
+				continue
+			}
+			cand := append(without(set, drop...), d)
+			if !matroid.AllIndependent(ms, cand) || !f.Feasible(cand) {
+				continue
+			}
+			if v := f.Value(cand); gate(v, cur) && v > bestVal {
+				next, bestVal = cand, v
+			}
+		}
+		if next != nil {
+			set, cur, moved = next, bestVal, true
+		}
+		if !moved {
+			return set, cur
+		}
+	}
+}
+
+// without returns set \ drop, in set order.
+func without(set []int, drop ...int) []int {
+	out := make([]int, 0, len(set))
+	for _, y := range set {
+		if !slices.Contains(drop, y) {
+			out = append(out, y)
+		}
+	}
+	return out
 }
 
 func requireSameAnswer(t *testing.T, label string, want selection.Result, got *Selection) {

@@ -203,7 +203,10 @@ const (
 	// MaxSub is the submodular local search of Section 5 — Algorithm 1 for
 	// unconstrained problems, Algorithms 2–3 under matroid constraints.
 	// Algorithm 1's add moves are Greedy's picks and share its CELF engine
-	// until a delete move.
+	// until a delete move. So do Algorithm 3's exchanges that drop
+	// nothing, until a delete or a swap; only the candidates a matroid
+	// blocks are probed as swaps. Answers equal the full scan's, bit for
+	// bit; only OracleCalls shrinks.
 	MaxSub Algorithm = "maxsub"
 	// GRASP is the randomized multi-start baseline of Dong et al.
 	GRASP Algorithm = "grasp"
@@ -335,12 +338,10 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 		Algorithm:   alg,
 		Set:         res.Set,
 		Profit:      res.Value,
-		Gain:        p.profit.GainOnly(res.Set),
-		AvgCoverage: p.profit.AvgMetric(res.Set, gain.Coverage),
-		AvgAccuracy: p.profit.AvgMetric(res.Set, gain.Accuracy),
 		OracleCalls: res.OracleCalls,
 		Duration:    res.Duration,
 	}
+	sel.Gain, sel.AvgCoverage, sel.AvgAccuracy = p.profit.Report(res.Set)
 	for _, i := range res.Set {
 		sel.Names = append(sel.Names, p.Trained.CandidateName(i))
 		sel.Divisors = append(sel.Divisors, p.Trained.CandidateDivisor(i))

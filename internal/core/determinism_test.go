@@ -28,7 +28,8 @@ func TestTrainRunToRunDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gains = append(gains, p.Profit().GainOnly([]int{0, 3, 5}))
+		g, _, _ := p.Profit().Report([]int{0, 3, 5})
+		gains = append(gains, g)
 	}
 	for i := 1; i < len(quals); i++ {
 		if quals[i] != quals[0] {

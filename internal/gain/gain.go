@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"freshsource/internal/estimate"
 	"freshsource/internal/obs"
@@ -263,7 +262,7 @@ func (cm *CostModel) Total() float64 { return cm.total }
 // Profit is the selection objective G(SI, Tf) − C(SI, Tf) of
 // Definitions 3–5, with gain and cost rescaled to [0,1] as in Section 6.1
 // and the overall gain aggregated as the average over the time points of
-// interest. It also enforces the budget βc and counts oracle calls.
+// interest. It also enforces the budget βc.
 type Profit struct {
 	Est   *estimate.Estimator
 	Ticks []timeline.Tick
@@ -274,10 +273,6 @@ type Profit struct {
 	CostWeight float64
 	// Budget is βc over the rescaled cost; ≤ 0 means unconstrained.
 	Budget float64
-
-	// calls is atomic: parallel candidate sweeps evaluate the oracle from
-	// many goroutines at once, and the count must stay exact.
-	calls atomic.Int64
 
 	// probeBuf pools the per-tick estimate buffers of ValueAdd (as slice
 	// pointers, so Get/Put don't box a header), keeping the steady-state
@@ -317,7 +312,6 @@ func NewProfit(e *estimate.Estimator, ticks []timeline.Tick, g Function, c *Cost
 // Value implements the value oracle: average rescaled gain over Tf minus
 // rescaled cost. Safe for concurrent use.
 func (p *Profit) Value(set []int) float64 {
-	p.calls.Add(1)
 	obs.Counter("gain.profit.value_calls").Inc()
 	qs := p.Est.QualityMulti(set, p.Ticks)
 	var cost float64
@@ -376,7 +370,6 @@ func (p *Profit) BeginAdd(set []int) any {
 // produce.
 func (p *Profit) ValueAdd(state any, x int) float64 {
 	st := state.(*ProfitState)
-	p.calls.Add(1)
 	obs.Counter("gain.profit.value_add_calls").Inc()
 	if p.Est.Inert(x) && (p.Cost == nil || p.Cost.Cost(x) == 0) {
 		st.ownOnce.Do(func() {
@@ -399,21 +392,17 @@ func (p *Profit) ValueAdd(state any, x int) float64 {
 	return v
 }
 
-// GainOnly returns the average rescaled gain of a set (no cost), used for
-// reporting solution quality.
-func (p *Profit) GainOnly(set []int) float64 {
-	return p.gainOf(p.Est.QualityMulti(set, p.Ticks))
-}
-
-// AvgMetric returns the average value of a quality metric over Tf for the
-// set — the "Avg. Qual." columns of Tables 4–6.
-func (p *Profit) AvgMetric(set []int, m Metric) float64 {
+// Report returns the quality a selection reports, from one estimation
+// pass over the set: its average rescaled gain (no cost), and its average
+// coverage and accuracy over Tf — the "Avg. Qual." columns of Tables 4–6.
+func (p *Profit) Report(set []int) (gain, avgCoverage, avgAccuracy float64) {
 	qs := p.Est.QualityMulti(set, p.Ticks)
-	var v float64
 	for _, q := range qs {
-		v += m.Of(q)
+		avgCoverage += q.Coverage
+		avgAccuracy += q.Accuracy
 	}
-	return v / float64(len(qs))
+	n := float64(len(qs))
+	return p.gainOf(qs), avgCoverage / n, avgAccuracy / n
 }
 
 // Submodular reports whether the profit is submodular, which holds exactly
@@ -432,10 +421,3 @@ func (p *Profit) Feasible(set []int) bool {
 	obs.Counter("gain.profit.budget_rejections").Inc()
 	return false
 }
-
-// Calls returns the number of oracle evaluations so far (Value and
-// ValueAdd alike).
-func (p *Profit) Calls() int { return int(p.calls.Load()) }
-
-// ResetCalls zeroes the oracle-call counter.
-func (p *Profit) ResetCalls() { p.calls.Store(0) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"freshsource/internal/estimate"
+	"freshsource/internal/obs"
 	"freshsource/internal/source"
 	"freshsource/internal/stats"
 	"freshsource/internal/timeline"
@@ -184,7 +185,19 @@ func TestFrequencyDiscount(t *testing.T) {
 	}
 }
 
+// profitCalls turns telemetry on for the test and returns a reader of the
+// oracle calls Profit has counted in it since: Value and ValueAdd alike.
+func profitCalls(t *testing.T) func() int64 {
+	t.Helper()
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	value, add := reg.Counter("gain.profit.value_calls"), reg.Counter("gain.profit.value_add_calls")
+	base := value.Value() + add.Value()
+	return func() int64 { return value.Value() + add.Value() - base }
+}
+
 func TestProfitOracle(t *testing.T) {
+	calls := profitCalls(t)
 	e, _ := buildFixture(t)
 	cm, err := NewSharedItemCost(e, 10)
 	if err != nil {
@@ -203,20 +216,23 @@ func TestProfitOracle(t *testing.T) {
 	if v1 <= 0 {
 		t.Errorf("single good source profit = %v", v1)
 	}
-	if p.Calls() != 2 {
-		t.Errorf("calls = %d", p.Calls())
+	if got := calls(); got != 2 {
+		t.Errorf("calls = %d", got)
 	}
-	p.ResetCalls()
-	if p.Calls() != 0 {
-		t.Error("reset failed")
-	}
-	// GainOnly ≥ profit (cost is non-negative).
-	if p.GainOnly([]int{0}) < v1 {
+	g, cov, acc := p.Report([]int{0})
+	// The gain alone ≥ profit (cost is non-negative).
+	if g < v1 {
 		t.Error("gain-only below profit")
 	}
-	// AvgMetric in [0,1].
-	if m := p.AvgMetric([]int{0}, Coverage); m <= 0 || m > 1 {
-		t.Errorf("avg coverage = %v", m)
+	// Average quality in [0,1].
+	if cov <= 0 || cov > 1 {
+		t.Errorf("avg coverage = %v", cov)
+	}
+	if acc < 0 || acc > 1 {
+		t.Errorf("avg accuracy = %v", acc)
+	}
+	if got := calls(); got != 2 {
+		t.Errorf("Report counted %d oracle calls, want none", got-2)
 	}
 }
 
@@ -256,7 +272,7 @@ func TestProfitNilCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Value([]int{0}) != p.GainOnly([]int{0}) {
+	if g, _, _ := p.Report([]int{0}); p.Value([]int{0}) != g {
 		t.Error("nil cost model should make profit equal gain")
 	}
 	if !p.Feasible([]int{0, 1, 2}) {

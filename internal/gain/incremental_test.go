@@ -16,6 +16,7 @@ import (
 // approximately equal — and counts exactly one oracle call (BeginAdd counts
 // none), so OracleCalls stays identical across the two paths.
 func TestProfitValueAddMatchesValue(t *testing.T) {
+	calls := profitCalls(t)
 	e, _ := buildFixture(t)
 	cm, err := NewSharedItemCost(e, 10)
 	if err != nil {
@@ -34,13 +35,13 @@ func TestProfitValueAddMatchesValue(t *testing.T) {
 		for _, i := range set {
 			member[i] = true
 		}
-		p.ResetCalls()
+		c0 := calls()
 		st := p.BeginAdd(set)
 		if st == nil {
 			t.Fatalf("BeginAdd(%v) declined", set)
 		}
-		if p.Calls() != 0 {
-			t.Errorf("BeginAdd(%v) counted %d calls, want 0", set, p.Calls())
+		if got := calls() - c0; got != 0 {
+			t.Errorf("BeginAdd(%v) counted %d calls, want 0", set, got)
 		}
 		for x := 0; x < n; x++ {
 			if member[x] {
@@ -55,11 +56,11 @@ func TestProfitValueAddMatchesValue(t *testing.T) {
 	}
 
 	// Call accounting: one ValueAdd counts like one Value.
-	p.ResetCalls()
 	st := p.BeginAdd([]int{0})
+	c0 := calls()
 	p.ValueAdd(st, 1)
-	if p.Calls() != 1 {
-		t.Errorf("ValueAdd counted %d calls, want 1", p.Calls())
+	if got := calls() - c0; got != 1 {
+		t.Errorf("ValueAdd counted %d calls, want 1", got)
 	}
 }
 

@@ -121,9 +121,6 @@ func (p *Partition) Conflicts(set []int, x int) []int {
 	return out[:1]
 }
 
-// ClassOf returns the class of element x.
-func (p *Partition) ClassOf(x int) int { return p.classOf[x] }
-
 func validElements(set []int, n int) bool {
 	seen := make(map[int]bool, len(set))
 	for _, x := range set {

@@ -33,9 +33,6 @@ func TestPartition(t *testing.T) {
 	if c := p.Conflicts([]int{0, 3}, 1); len(c) != 1 || c[0] != 0 {
 		t.Errorf("conflicts = %v, want [0]", c)
 	}
-	if p.ClassOf(4) != 1 {
-		t.Error("ClassOf wrong")
-	}
 }
 
 func TestNewPartitionErrors(t *testing.T) {

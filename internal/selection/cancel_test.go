@@ -48,6 +48,7 @@ func runAllCtx(f Oracle, n int, ctx context.Context, extra ...Option) []Result {
 		Greedy(lazy(f), n, opts...),
 		BudgetedGreedy(f, n, func(i int) float64 { return float64(i%4) + 1 }, opts...),
 		MaxSub(lazy(f), n, 0.05, opts...),
+		MatroidMax(lazy(f), n, []matroid.Matroid{pm}, 0.05, opts...),
 	}
 }
 
@@ -165,6 +166,8 @@ func runAlgCtx(alg int, f Oracle, n int, ctx context.Context, extra ...Option) R
 		return BudgetedGreedy(f, n, func(i int) float64 { return float64(i%4) + 1 }, opts...)
 	case 6:
 		return MaxSub(lazy(f), n, 0.05, opts...)
+	case 7:
+		return MatroidMax(lazy(f), n, []matroid.Matroid{pm}, 0.05, opts...)
 	}
 	panic("bad alg")
 }

@@ -112,10 +112,11 @@ func (h *celfHeap) pop() celfEntry {
 
 // addEngine finds Greedy's next add move — the feasible non-member x with
 // the highest f(S ∪ {x}), lowest index on ties, provided it beats f(S) —
-// for Greedy and for MaxSub's add moves. A sweep probes every candidate
-// against S. On the lazy path (the oracle reports submodularity) one
-// sweep seeds the engine and each later pick re-probes only the stale
-// bounds that could still reach it (CELF); otherwise every pick sweeps.
+// for Greedy, for MaxSub's add moves and for the exchanges of the matroid
+// search that drop nothing. A sweep probes every candidate against S. On
+// the lazy path (the oracle reports submodularity) one sweep seeds the
+// engine and each later pick re-probes only the stale bounds that could
+// still reach it (CELF); otherwise every pick sweeps.
 //
 // Entries probed against the current set are fresh; taking a pick turns
 // the other fresh entries into stale bounds in the heap. Diminishing
@@ -129,8 +130,12 @@ type addEngine struct {
 	ev   evaluator
 	n    int
 	lazy bool
+	// fits reports whether x may join: cand is the set with x appended.
+	// It defaults to the oracle's Feasible; the matroid search folds in
+	// its matroids and ground set.
+	fits func(cand []int, x int) bool
 	// valid reports that fresh and h describe the current set; a full-scan
-	// take or MaxSub's delete clears it, and the next pick sweeps.
+	// take or invalidate clears it, and the next pick sweeps.
 	valid bool
 	h     celfHeap    // stale bounds, probed against earlier subsets
 	fresh []celfEntry // probed against the current set
@@ -163,6 +168,7 @@ func newAddEngine(co *CountingOracle, ev evaluator, n int) *addEngine {
 		slack:   obs.Counter("selection.celf.slack_recomputes"),
 		rise:    obs.Histogram("selection.celf.bound_rise"),
 	}
+	a.fits = func(cand []int, _ int) bool { return co.Feasible(cand) }
 	if a.lazy {
 		a.h = make(celfHeap, 0, n)
 	}
@@ -181,7 +187,7 @@ func (a *addEngine) sweep(set []int, member *bitset.Set, cur float64) {
 			return
 		}
 		cand := with(set, x)
-		if !a.co.Feasible(cand) {
+		if !a.fits(cand, x) {
 			return
 		}
 		a.vals[x] = a.probe.value(cand, x)
@@ -197,6 +203,18 @@ func (a *addEngine) sweep(set []int, member *bitset.Set, cur float64) {
 		}
 	}
 	a.valid = true
+}
+
+// seed makes singleton probes taken before the engine existed its fresh
+// entries for the empty set: vals[x] = f({x}) for every x in cands, over
+// empty = f(∅). The matroid search probes the singletons once and seeds
+// each of MatroidMax's runs from them instead of sweeping again.
+func (a *addEngine) seed(vals []float64, cands []int, empty float64) {
+	a.h, a.fresh, a.best = a.h[:0], a.fresh[:0], -1
+	for _, x := range cands {
+		a.addFresh(celfEntry{idx: int32(x), gain: vals[x] - empty, val: vals[x]})
+	}
+	a.valid, a.reprobe = true, true
 }
 
 func (a *addEngine) addFresh(e celfEntry) {
@@ -246,7 +264,7 @@ func (a *addEngine) next(set []int, member *bitset.Set, cur float64) (int, float
 		}
 		e := a.h.pop()
 		a.cand = append(append(a.cand[:0], set...), int(e.idx))
-		if !a.co.Feasible(a.cand) {
+		if !a.fits(a.cand, int(e.idx)) {
 			continue
 		}
 		if a.reprobe {
@@ -295,6 +313,6 @@ func (a *addEngine) take() {
 }
 
 // invalidate drops every entry after a move other than an add: a delete
-// can raise marginal gains and make dropped candidates feasible again, so
-// the next pick sweeps.
+// or a swap can raise marginal gains and make dropped candidates feasible
+// again, so the next pick sweeps.
 func (a *addEngine) invalidate() { a.valid = false }

@@ -7,18 +7,18 @@ import (
 	"freshsource/internal/obs"
 )
 
-// CountingOracle wraps an Oracle and counts every Value and Feasible
-// evaluation explicitly, so call accounting never depends on the wrapped
-// oracle volunteering a counter. Counts are atomic: a CountingOracle may
-// be shared by concurrent algorithm runs.
+// CountingOracle wraps an Oracle and counts every Value evaluation
+// explicitly, so call accounting never depends on the wrapped oracle
+// volunteering a counter; Feasible checks are counted in telemetry only.
+// Counts are atomic: a CountingOracle may be shared by concurrent
+// algorithm runs.
 //
 // Every algorithm in this package wraps its oracle with Count on entry, so
 // Result.OracleCalls is always exact — including for oracles that know
 // nothing about counting.
 type CountingOracle struct {
-	inner    Oracle
-	value    atomic.Int64
-	feasible atomic.Int64
+	inner Oracle
+	value atomic.Int64
 
 	// obs handles resolved at wrap time; nil (no-op) when telemetry is
 	// disabled.
@@ -48,9 +48,8 @@ func (c *CountingOracle) Value(set []int) float64 {
 	return c.inner.Value(set)
 }
 
-// Feasible implements Oracle, counting the check.
+// Feasible implements Oracle, counting the check in telemetry.
 func (c *CountingOracle) Feasible(set []int) bool {
-	c.feasible.Add(1)
 	c.obsFeasible.Add(1)
 	return c.inner.Feasible(set)
 }
@@ -103,12 +102,6 @@ func (c *CountingOracle) Submodular() bool {
 
 // Calls returns the number of Value evaluations so far.
 func (c *CountingOracle) Calls() int { return int(c.value.Load()) }
-
-// FeasibleCalls returns the number of Feasible checks so far.
-func (c *CountingOracle) FeasibleCalls() int { return int(c.feasible.Load()) }
-
-// Unwrap returns the wrapped oracle.
-func (c *CountingOracle) Unwrap() Oracle { return c.inner }
 
 // runTrace carries the per-run accounting every algorithm shares: the
 // counting oracle, its call count at entry (for delta accounting under

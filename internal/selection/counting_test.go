@@ -3,6 +3,8 @@ package selection
 import (
 	"sync"
 	"testing"
+
+	"freshsource/internal/obs"
 )
 
 // dumbOracle deliberately implements nothing but the Oracle interface — no
@@ -41,28 +43,33 @@ func TestCountIdempotent(t *testing.T) {
 	if Count(c) != c {
 		t.Error("Count of a CountingOracle should return it unchanged")
 	}
-	if c.Unwrap() == nil {
-		t.Error("Unwrap lost the inner oracle")
-	}
 }
 
+// feasibleChecks reads the telemetry counter CountingOracle feeds on every
+// Feasible check.
+func feasibleChecks() int64 { return obs.Counter("selection.oracle.feasible_calls").Value() }
+
 func TestCountingOracleCounts(t *testing.T) {
+	obs.Enable()
 	o := dumbOracle{vals: map[int]float64{0: 1}}
 	c := Count(o)
+	feasible0 := feasibleChecks()
 	c.Value(nil)
 	c.Value([]int{0})
 	c.Feasible([]int{0})
 	if c.Calls() != 2 {
 		t.Errorf("Calls = %d, want 2", c.Calls())
 	}
-	if c.FeasibleCalls() != 1 {
-		t.Errorf("FeasibleCalls = %d, want 1", c.FeasibleCalls())
+	if got := feasibleChecks() - feasible0; got != 1 {
+		t.Errorf("feasible_calls rose by %d, want 1", got)
 	}
 }
 
 func TestCountingOracleConcurrent(t *testing.T) {
+	obs.Enable()
 	o := dumbOracle{vals: map[int]float64{0: 1}}
 	c := Count(o)
+	feasible0 := feasibleChecks()
 	const goroutines = 8
 	const perG = 1000
 	var wg sync.WaitGroup
@@ -80,8 +87,8 @@ func TestCountingOracleConcurrent(t *testing.T) {
 	if c.Calls() != goroutines*perG {
 		t.Errorf("Calls = %d, want %d", c.Calls(), goroutines*perG)
 	}
-	if c.FeasibleCalls() != goroutines*perG {
-		t.Errorf("FeasibleCalls = %d, want %d", c.FeasibleCalls(), goroutines*perG)
+	if got := feasibleChecks() - feasible0; got != goroutines*perG {
+		t.Errorf("feasible_calls rose by %d, want %d", got, goroutines*perG)
 	}
 }
 

@@ -136,12 +136,13 @@ func runAll(f Oracle, n int, opts ...Option) []Result {
 		Greedy(lazy(f), n, opts...),
 		BudgetedGreedy(f, n, func(i int) float64 { return float64(i%4) + 1 }, opts...),
 		MaxSub(lazy(f), n, 0.05, opts...),
+		MatroidMax(lazy(f), n, []matroid.Matroid{pm}, 0.05, opts...),
 	}
 }
 
 // algNames labels runAll's results; the /lazy entries run the same
 // algorithm with the oracle reporting submodularity.
-var algNames = []string{"Greedy", "MaxSub", "MatroidMax", "GRASP", "Greedy/lazy", "BudgetedGreedy", "MaxSub/lazy"}
+var algNames = []string{"Greedy", "MaxSub", "MatroidMax", "GRASP", "Greedy/lazy", "BudgetedGreedy", "MaxSub/lazy", "MatroidMax/lazy"}
 
 // requireIdentical asserts two result slices match exactly: same sets in
 // the same order, bit-identical values, identical oracle-call counts.

@@ -18,9 +18,10 @@ import (
 // The exhaustive checks below enumerate every single move on instances of
 // at most 12 candidates and hold each algorithm's answer to its own
 // definition: Greedy equals a brute-force full-scan greedy, MaxSub's local
-// optimum admits no add or delete that passes its (1+ε/n²) gate, and
-// MatroidLocalSearch's answer admits no delete or exchange that passes the
-// (1+ε/n⁴) gate. A lazy add that missed an improving move fails them.
+// optimum admits no add or delete that passes its (1+ε/n²) gate, and each
+// of MatroidMax's local searches admits no delete or exchange that passes
+// the (1+ε/n⁴) gate. Every check runs on the full scan and on the lazy
+// path; a lazy add that missed an improving move fails them.
 
 // floatWC is weighted coverage less an additive cost in floats, under an
 // optional budget on the cost. Items are summed in index order and costs
@@ -143,6 +144,105 @@ func bruteGreedy(f Oracle, n int) Result {
 	}
 }
 
+// bruteMatroidMax is MatroidMax written out as a full scan: every run
+// probes every singleton of its ground set, and every exchange step
+// evaluates every admissible exchange — bring in d, dropping what blocks
+// it — by a full Value call. Moves are gated by (1+ε/n⁴), and the first
+// strictly best move in ground order wins.
+func bruteMatroidMax(f Oracle, n int, ms []matroid.Matroid, eps float64) Result {
+	co := Count(f)
+	ground := complement(n, nil)
+	best := Result{Value: math.Inf(-1)}
+	for i := 0; i <= len(ms) && len(ground) > 0; i++ {
+		set, cur := bruteMatroidLocal(co, ground, ms, eps)
+		if cur > best.Value {
+			best.Set, best.Value = set, cur
+		}
+		ground = without(ground, set...)
+	}
+	if math.IsInf(best.Value, -1) {
+		best.Value = co.Value(nil)
+	}
+	best.Set = append([]int(nil), best.Set...)
+	best.OracleCalls = co.Calls()
+	return best
+}
+
+func bruteMatroidLocal(f Oracle, ground []int, ms []matroid.Matroid, eps float64) ([]int, float64) {
+	gateN := 0
+	for _, m := range ms {
+		gateN = max(gateN, m.N())
+	}
+	if gateN == 0 {
+		gateN = len(ground)
+	}
+	r := float64(gateN)
+	denom := r * r * r * r
+	var set []int
+	cur := math.Inf(-1)
+	for _, d := range ground {
+		cand := []int{d}
+		if !matroid.AllIndependent(ms, cand) || !f.Feasible(cand) {
+			continue
+		}
+		if v := f.Value(cand); v > cur {
+			set, cur = cand, v
+		}
+	}
+	if set == nil {
+		return nil, f.Value(nil)
+	}
+	for {
+		moved := false
+		var next []int
+		bestVal := cur
+		for _, y := range set {
+			cand := without(set, y)
+			if v := f.Value(cand); improves(v, cur, eps, denom) && v > bestVal {
+				next, bestVal = cand, v
+			}
+		}
+		if next != nil {
+			set, cur, moved = next, bestVal, true
+		}
+		next, bestVal = nil, cur
+		for _, d := range ground {
+			if containsInt(set, d) {
+				continue
+			}
+			var drop []int
+			admissible := true
+			for _, m := range ms {
+				if m.CanAdd(without(set, drop...), d) {
+					continue
+				}
+				conf := m.Conflicts(set, d)
+				if conf == nil {
+					admissible = false
+					break
+				}
+				drop = append(drop, conf...)
+			}
+			if !admissible {
+				continue
+			}
+			cand := with(without(set, drop...), d)
+			if !matroid.AllIndependent(ms, cand) || !f.Feasible(cand) {
+				continue
+			}
+			if v := f.Value(cand); improves(v, cur, eps, denom) && v > bestVal {
+				next, bestVal = cand, v
+			}
+		}
+		if next != nil {
+			set, cur, moved = next, bestVal, true
+		}
+		if !moved {
+			return set, cur
+		}
+	}
+}
+
 func containsInt(set []int, x int) bool {
 	for _, y := range set {
 		if y == x {
@@ -202,11 +302,12 @@ func checkMaxSub(t *testing.T, label string, f Oracle, n int, r Result) {
 	}
 }
 
-// checkMatroidLocal holds MatroidLocalSearch's answer to Algorithm 3
-// under the one-per-class partition matroid classOf: it is independent
-// and feasible, and no deletion and no exchange — bring in d, dropping the
-// member of d's class if there is one — clears (1+ε/n⁴).
-func checkMatroidLocal(t *testing.T, label string, f Oracle, classOf []int, r Result) {
+// checkMatroidLocal holds MatroidLocalSearch's answer over ground to
+// Algorithm 3 under the one-per-class partition matroid classOf: it is
+// independent and feasible, and no deletion and no exchange — bring in
+// d ∈ ground, dropping the member of d's class if there is one — clears
+// (1+ε/n⁴).
+func checkMatroidLocal(t *testing.T, label string, f Oracle, classOf, ground []int, r Result) {
 	t.Helper()
 	const eps = 0.1
 	n := len(classOf)
@@ -228,7 +329,7 @@ func checkMatroidLocal(t *testing.T, label string, f Oracle, classOf []int, r Re
 			t.Errorf("%s: deleting %d from %v passes the gate", label, x, set)
 		}
 	}
-	for d := 0; d < n; d++ {
+	for _, d := range ground {
 		if containsInt(set, d) {
 			continue
 		}
@@ -243,6 +344,29 @@ func checkMatroidLocal(t *testing.T, label string, f Oracle, classOf []int, r Re
 			t.Errorf("%s: exchanging %d for %v in %v passes the gate", label, d, drop, set)
 		}
 	}
+}
+
+// checkMatroidMax holds MatroidMax's answer to Algorithm 2 under the
+// one-per-class partition matroid classOf (k = 1): it is the better of two
+// local searches, the second over the ground set less the first's answer,
+// and each is a local optimum over its own ground set.
+func checkMatroidMax(t *testing.T, label string, f Oracle, classOf []int, r Result) {
+	t.Helper()
+	pm, err := matroid.OnePerClass(classOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ground := complement(len(classOf), nil)
+	best := Result{Value: math.Inf(-1)}
+	for run := 1; run <= 2 && len(ground) > 0; run++ {
+		rr := MatroidLocalSearch(f, ground, []matroid.Matroid{pm}, 0.1)
+		checkMatroidLocal(t, fmt.Sprintf("%s run %d", label, run), f, classOf, ground, rr)
+		if rr.Value > best.Value {
+			best = rr
+		}
+		ground = without(ground, rr.Set...)
+	}
+	requireSameSelection(t, label+" vs its runs", best, r)
 }
 
 // scan hides an oracle's submodularity, keeping its incremental probes, so
@@ -281,11 +405,19 @@ func checkExhaustive(t *testing.T, label string, f Oracle, n int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ground := make([]int, n)
-	for i := range ground {
-		ground[i] = i
-	}
-	checkMatroidLocal(t, label+" matroidlocal", f, classOf, MatroidLocalSearch(f, ground, []matroid.Matroid{pm}, 0.1))
+	ms := []matroid.Matroid{pm}
+	ground := complement(n, nil)
+	full = MatroidLocalSearch(scan(f), ground, ms, 0.1)
+	celf = MatroidLocalSearch(lazy(f), ground, ms, 0.1)
+	checkMatroidLocal(t, label+" matroidlocal", f, classOf, ground, full)
+	checkMatroidLocal(t, label+" matroidlocal/lazy", f, classOf, ground, celf)
+	requireSameSelection(t, label+" matroidlocal lazy vs scan", full, celf)
+	full = MatroidMax(scan(f), n, ms, 0.1)
+	celf = MatroidMax(lazy(f), n, ms, 0.1)
+	checkMatroidMax(t, label+" matroidmax", scan(f), classOf, full)
+	checkMatroidMax(t, label+" matroidmax/lazy", lazy(f), classOf, celf)
+	requireSameSelection(t, label+" matroidmax vs brute force", bruteMatroidMax(f, n, ms, 0.1), full)
+	requireSameSelection(t, label+" matroidmax lazy vs scan", full, celf)
 	return len(want.Set)
 }
 
@@ -312,5 +444,49 @@ func TestExhaustiveLocalOptimaProfit(t *testing.T) {
 	}
 	if deep == 0 {
 		t.Error("no profit instance grew a greedy answer of 2 or more; the fixture is too shallow")
+	}
+}
+
+// TestMatroidMaxMatchesBruteForce holds MatroidMax, on the full scan and
+// the lazy path, to the full-scan loop bruteMatroidMax on integer
+// weighted coverage, where equally good moves are common: same Set, same
+// Value, and no more oracle calls. Random classes give both plain adds and
+// swaps.
+func TestMatroidMaxMatchesBruteForce(t *testing.T) {
+	blocked := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		n := 8 + int(seed%5)*6
+		o := randomWC(n, seed)
+		o.maxSet = n
+		rng := rand.New(rand.NewSource(seed))
+		classOf := make([]int, n)
+		for i := range classOf {
+			classOf[i] = rng.Intn(n/2 + 1)
+		}
+		pm, err := matroid.OnePerClass(classOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := []matroid.Matroid{pm}
+		want := bruteMatroidMax(o, n, ms, 0.05)
+		for _, f := range []Oracle{o, lazy(o), lazy(&incrWC{wcOracle: *o})} {
+			label := fmt.Sprintf("seed %d n=%d %T", seed, n, f)
+			got := MatroidMax(f, n, ms, 0.05)
+			requireSameSelection(t, label, want, got)
+			if got.OracleCalls > want.OracleCalls {
+				t.Errorf("%s: %d oracle calls, brute force %d", label, got.OracleCalls, want.OracleCalls)
+			}
+		}
+		for _, x := range want.Set {
+			for y := range classOf {
+				if y != x && classOf[y] == classOf[x] {
+					blocked++
+					break
+				}
+			}
+		}
+	}
+	if blocked < 20 {
+		t.Errorf("only %d answer members have a classmate to swap in; the fixture barely exercises swaps", blocked)
 	}
 }

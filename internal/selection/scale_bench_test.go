@@ -2,6 +2,7 @@ package selection
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"freshsource/internal/dataset"
 	"freshsource/internal/estimate"
 	"freshsource/internal/gain"
+	"freshsource/internal/matroid"
 	"freshsource/internal/timeline"
 )
 
@@ -28,9 +30,12 @@ import (
 type scaleEnv struct {
 	profit *gain.Profit
 	n      int
+	// ms holds the one-version-per-source matroid when the fixture has
+	// frequency variants.
+	ms []matroid.Matroid
 }
 
-var scaleCache = map[int]*scaleEnv{}
+var scaleCache = map[string]*scaleEnv{}
 
 var scaleSizes = []struct {
 	label   string
@@ -42,11 +47,13 @@ var scaleSizes = []struct {
 	{"15k", 15275, true},
 }
 
-// scaleProblem builds (once per size, cached across benchmarks) a profit
-// oracle over a GDELT-like corpus with the requested candidate count.
-func scaleProblem(b *testing.B, sources int) *scaleEnv {
+// scaleProblem builds (once per size and divisor list, cached across
+// benchmarks) a profit oracle over a GDELT-like corpus with the requested
+// source count, plus one candidate per source and divisor.
+func scaleProblem(b *testing.B, sources int, divisors ...int) *scaleEnv {
 	b.Helper()
-	if e, ok := scaleCache[sources]; ok {
+	key := fmt.Sprint(sources, divisors)
+	if e, ok := scaleCache[key]; ok {
 		return e
 	}
 	cfg := dataset.GDELTConfig{
@@ -67,6 +74,21 @@ func scaleProblem(b *testing.B, sources int) *scaleEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
+	e := &scaleEnv{}
+	if len(divisors) > 0 {
+		if est, err = est.WithFrequencyVariants(divisors); err != nil {
+			b.Fatal(err)
+		}
+		classOf := make([]int, est.NumCandidates())
+		for i := range classOf {
+			classOf[i] = est.Candidate(i).SourceIndex
+		}
+		pm, err := matroid.OnePerClass(classOf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.ms = []matroid.Matroid{pm}
+	}
 	cm, err := gain.NewSharedItemCost(est, 10)
 	if err != nil {
 		b.Fatal(err)
@@ -82,9 +104,9 @@ func scaleProblem(b *testing.B, sources int) *scaleEnv {
 	// ~1/n, so a bare CostWeight would stop a 64-source solve early yet
 	// let a 15k-source solve run thousands of rounds deep.)
 	p.CostWeight = 0.3
-	p.Budget = 32 / float64(est.NumCandidates())
-	e := &scaleEnv{profit: p, n: est.NumCandidates()}
-	scaleCache[sources] = e
+	p.Budget = 32 / float64(sources)
+	e.profit, e.n = p, est.NumCandidates()
+	scaleCache[key] = e
 	return e
 }
 
@@ -132,6 +154,31 @@ func BenchmarkScaleCELF(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkScaleMatroid runs the matroid search end to end, the solve
+// behind maxsub with divisors: MatroidMax with divisors [2], so two
+// candidates per source, under the one-version-per-source matroid. The
+// profit oracle reports submodularity, so the exchanges that add probe
+// lazily. 64 and 1k sources only.
+func BenchmarkScaleMatroid(b *testing.B) {
+	for _, s := range scaleSizes {
+		if s.full {
+			continue
+		}
+		b.Run(s.label, func(b *testing.B) {
+			e := scaleProblem(b, s.sources, 2)
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := MatroidMax(e.profit, e.n, e.ms, 0.1)
+				if len(r.Set) == 0 {
+					b.Fatal("matroid search selected nothing")
+				}
+			}
+		})
 	}
 }
 

@@ -14,7 +14,9 @@
 //     Greedy's engine, lazily until a delete.
 //   - MatroidLocalSearch / MatroidMax (Algorithms 3 and 2): the Lee et al.
 //     local search under k matroid constraints with delete and exchange
-//     moves gated by (1+ε/n⁴), run k+1 times on shrinking ground sets.
+//     moves gated by (1+ε/n⁴), run k+1 times on shrinking ground sets. Its
+//     exchanges that drop nothing are adds on Greedy's engine; see
+//     matroidSearch.
 //   - GRASP(κ, r): r rounds of randomized greedy construction (uniform
 //     choice among the κ best positive-marginal candidates) followed by
 //     add/drop/swap hill climbing.
@@ -39,6 +41,7 @@ package selection
 import (
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"freshsource/internal/bitset"
@@ -333,179 +336,337 @@ func bestSingleton(co *CountingOracle, n int, ev evaluator) ([]int, float64) {
 
 // MatroidLocalSearch is Algorithm 3: local search over ground (a subset of
 // {0,…,n-1}) under the intersection of the given matroids, with delete and
-// exchange moves gated by (1+ε/n⁴).
+// exchange moves gated by (1+ε/n⁴). An exchange brings in one element d
+// and drops the members that block d in some matroid, if any; among
+// equally good moves the lowest index wins. Exchanges that drop nothing
+// are adds and run on Greedy's add engine, lazily on submodular oracles
+// until a delete or a swap; see matroidSearch.
 func MatroidLocalSearch(f Oracle, ground []int, ms []matroid.Matroid, eps float64, opts ...Option) Result {
 	co, rt := traceRun(f, "matroidlocal")
-	moves := obs.Counter("selection.matroidlocal.moves")
 	if len(ground) == 0 {
 		return rt.finish(nil, co.Value(nil))
 	}
 	ev := newEvaluator(opts)
 	defer ev.close()
-	n := 0
-	for _, m := range ms {
-		if m.N() > n {
-			n = m.N()
-		}
-	}
-	if n == 0 {
-		n = len(ground)
-	}
-	denom := float64(n) * float64(n) * float64(n) * float64(n)
-
-	// The membership universe must span the ground elements even when no
-	// matroid bounds them.
-	ub := n
-	for _, x := range ground {
-		if x+1 > ub {
-			ub = x + 1
-		}
-	}
-	member := bitset.New(ub)
-
-	// Ln. 3: best feasible singleton within the ground set.
-	g := len(ground)
-	vals := make([]float64, g)
-	ok := make([]bool, g)
-	cands := make([][]int, g)
-	probe := beginAdds(co, nil)
-	ev.sweep(g, func(i int) {
-		ok[i] = false
-		cand := []int{ground[i]}
-		if !matroid.AllIndependent(ms, cand) || !co.Feasible(cand) {
-			return
-		}
-		vals[i] = probe.value(cand, ground[i])
-		ok[i] = true
-	})
-	if ev.canceled() {
+	s := newMatroidSearch(co, ev, ms, eps, ground)
+	if !s.probeSingletons(ground) {
 		return rt.finishErr(nil, co.Value(nil), ErrCanceled)
 	}
-	var set []int
-	cur := math.Inf(-1)
-	for i := 0; i < g; i++ {
-		if ok[i] && vals[i] > cur {
-			set, cur = []int{ground[i]}, vals[i]
-		}
-	}
-	if set == nil {
-		return rt.finish(nil, co.Value(nil))
-	}
-	member.Add(set[0])
-
-	for {
-		moved := false
-
-		// Ln. 5–7: delete operation.
-		m := len(set)
-		ev.sweep(m, func(i int) {
-			cand := without(set, set[i])
-			cands[i] = cand
-			vals[i] = co.Value(cand)
-		})
-		if ev.canceled() {
-			return rt.finishErr(set, cur, ErrCanceled)
-		}
-		bestI, bestVal := -1, cur
-		for i := 0; i < m; i++ {
-			if improves(vals[i], cur, eps, denom) && vals[i] > bestVal {
-				bestI, bestVal = i, vals[i]
-			}
-		}
-		if bestI >= 0 {
-			set, cur = cands[bestI], bestVal
-			resetMembers(member, set)
-			moved = true
-			moves.Inc()
-		}
-
-		// Ln. 8–10: exchange operation — bring in d, removing at most one
-		// conflicting element per matroid.
-		ev.sweep(g, func(i int) {
-			ok[i] = false
-			d := ground[i]
-			if member.Contains(d) {
-				return
-			}
-			var removals []int
-			admissible := true
-			for _, m := range ms {
-				if m.CanAdd(without(set, removals...), d) {
-					continue
-				}
-				conf := m.Conflicts(set, d)
-				if conf == nil {
-					admissible = false
-					break
-				}
-				removals = append(removals, conf...)
-			}
-			if !admissible {
-				return
-			}
-			cand := with(without(set, removals...), d)
-			if !matroid.AllIndependent(ms, cand) || !co.Feasible(cand) {
-				return
-			}
-			cands[i] = cand
-			vals[i] = co.Value(cand)
-			ok[i] = true
-		})
-		if ev.canceled() {
-			return rt.finishErr(set, cur, ErrCanceled)
-		}
-		bestI, bestVal = -1, cur
-		for i := 0; i < g; i++ {
-			if ok[i] && improves(vals[i], cur, eps, denom) && vals[i] > bestVal {
-				bestI, bestVal = i, vals[i]
-			}
-		}
-		if bestI >= 0 {
-			set, cur = cands[bestI], bestVal
-			resetMembers(member, set)
-			moved = true
-			moves.Inc()
-		}
-
-		if !moved {
-			break
-		}
+	set, cur, done := s.run(ground)
+	if !done {
+		return rt.finishErr(set, cur, ErrCanceled)
 	}
 	return rt.finish(set, cur)
 }
 
 // MatroidMax is Algorithm 2: run the local search k+1 times on shrinking
 // ground sets (removing each round's selection) and return the best round.
+// The runs share one sweep of the singletons (Ln. 3 of Algorithm 3).
 func MatroidMax(f Oracle, n int, ms []matroid.Matroid, eps float64, opts ...Option) Result {
 	co, rt := traceRun(f, "matroidmax")
+	if n == 0 {
+		return rt.finish(nil, co.Value(nil))
+	}
+	ev := newEvaluator(opts)
+	defer ev.close()
 	ground := make([]int, n)
 	for i := range ground {
 		ground[i] = i
 	}
-	k := len(ms)
-	var best Result
-	best.Value = math.Inf(-1)
-	for i := 0; i <= k; i++ {
-		if len(ground) == 0 {
-			break
+	s := newMatroidSearch(co, ev, ms, eps, ground)
+	if !s.probeSingletons(ground) {
+		return rt.finishErr(nil, co.Value(nil), ErrCanceled)
+	}
+	var best []int
+	bestVal := math.Inf(-1)
+	for i := 0; i <= len(ms) && len(ground) > 0; i++ {
+		set, cur, done := s.run(ground)
+		if cur > bestVal {
+			best, bestVal = set, cur
 		}
-		// The nested run shares co, so rt's delta accounting covers it.
-		r := MatroidLocalSearch(co, ground, ms, eps, opts...)
-		if r.Value > best.Value {
-			best = r
+		if !done {
+			return rt.finishErr(best, bestVal, ErrCanceled)
 		}
-		if r.Err != nil {
-			if math.IsInf(best.Value, -1) {
-				best = Result{Value: co.Value(nil)}
+		ground = without(ground, set...)
+	}
+	return rt.finish(best, bestVal)
+}
+
+// matroidSearch holds what the runs of Algorithm 3 within one call share:
+// the oracle, the evaluator, the matroids and the singleton probes.
+//
+// Each run's exchange step splits Ln. 8–10's moves in two. An exchange
+// whose element d every matroid admits as it is drops nothing: it is an
+// add, and the run's add engine supplies the best one, with the matroids
+// and the ground set folded into its feasibility. Only the elements some
+// matroid blocks are probed as swaps, incrementally, through one add-probe
+// state per distinct base set − R. A delete or a swap invalidates the
+// engine, as MaxSub's deletes do; on submodular oracles the adds between
+// them probe lazily, and the singleton sweep's gains over f(∅) seed every
+// run's heap. The best exchange is the better of the best add and the best
+// swap, lowest index on ties, and both are exact, so each run takes the
+// move a full scan of every exchange would take.
+type matroidSearch struct {
+	co  *CountingOracle
+	ev  evaluator
+	ms  []matroid.Matroid
+	eps float64
+	// gateN is the n of the (1+ε/n⁴) gate: the largest matroid ground
+	// set, or 0 without matroids, when a run gates by its own ground set's
+	// size.
+	gateN int
+	// n bounds every index the search meets (matroid and ground elements).
+	n    int
+	lazy bool
+	// vals[x] = f({x}) where ok[x]: x's singleton is independent and
+	// feasible. empty is f(∅), the base of the lazy path's gains.
+	vals  []float64
+	ok    []bool
+	empty float64
+
+	// Scratch of the delete and swap steps, reused from step to step.
+	swaps    []swapMove
+	bases    []swapBase
+	swapVals []float64
+	delSets  [][]int
+	delVals  []float64
+
+	moves *obs.CounterVar
+}
+
+// swapMove brings in d and drops the members its base leaves out: cand is
+// bases[base]'s set with d appended.
+type swapMove struct {
+	d, base int
+	cand    []int
+}
+
+// swapBase is one distinct base set − R with its add-probe state.
+type swapBase struct {
+	r     []int
+	probe addProber
+}
+
+func newMatroidSearch(co *CountingOracle, ev evaluator, ms []matroid.Matroid, eps float64, ground []int) *matroidSearch {
+	s := &matroidSearch{co: co, ev: ev, ms: ms, eps: eps, lazy: co.Submodular(),
+		moves: obs.Counter("selection.matroidlocal.moves")}
+	for _, m := range ms {
+		s.gateN = max(s.gateN, m.N())
+	}
+	s.n = max(s.gateN, len(ground))
+	for _, x := range ground {
+		s.n = max(s.n, x+1)
+	}
+	s.vals = make([]float64, s.n)
+	s.ok = make([]bool, s.n)
+	return s
+}
+
+// probeSingletons is Ln. 3's sweep: it probes f({x}) for every element of
+// ground whose singleton is independent and feasible, and reports false
+// when the run was canceled.
+func (s *matroidSearch) probeSingletons(ground []int) bool {
+	// Each distinct element once: duplicates would write the same slot
+	// from two sweep workers.
+	xs := members(s.n, ground).Indices()
+	probe := beginAdds(s.co, nil)
+	s.ev.sweep(len(xs), func(i int) {
+		x := xs[i]
+		cand := []int{x}
+		if !matroid.AllIndependent(s.ms, cand) || !s.co.Feasible(cand) {
+			return
+		}
+		s.vals[x] = probe.value(cand, x)
+		s.ok[x] = true
+	})
+	if s.ev.canceled() {
+		return false
+	}
+	if s.lazy {
+		s.empty = s.co.Value(nil)
+	}
+	return true
+}
+
+// emptyValue returns f(∅), evaluating it unless the lazy path holds it.
+func (s *matroidSearch) emptyValue() float64 {
+	if s.lazy {
+		return s.empty
+	}
+	return s.co.Value(nil)
+}
+
+// run is one local search of Algorithm 3 over ground. It returns the last
+// completed set and its value, and false when the run was canceled.
+func (s *matroidSearch) run(ground []int) ([]int, float64, bool) {
+	// The elements whose singleton is independent and feasible. Both
+	// properties are downward-closed, so no other element of ground can
+	// join any set the search holds.
+	pool := bitset.New(s.n)
+	for _, x := range ground {
+		if s.ok[x] {
+			pool.Add(x)
+		}
+	}
+	cands := pool.Indices()
+	if len(cands) == 0 {
+		return nil, s.emptyValue(), true
+	}
+	gn := float64(s.gateN)
+	if gn == 0 {
+		gn = float64(len(ground))
+	}
+	denom := gn * gn * gn * gn
+
+	eng := newAddEngine(s.co, s.ev, s.n)
+	eng.fits = func(cand []int, x int) bool {
+		return pool.Contains(x) && canAddAll(s.ms, cand[:len(cand)-1], x) && s.co.Feasible(cand)
+	}
+	// Ln. 3: the best singleton.
+	eng.seed(s.vals, cands, s.empty)
+	x, cur := eng.top()
+	eng.take()
+	set := []int{x}
+	member := members(s.n, set)
+
+	for {
+		moved := false
+
+		// Ln. 5–7: delete operation.
+		m := len(set)
+		s.delSets, s.delVals = grow(s.delSets, m), grow(s.delVals, m)
+		s.ev.sweep(m, func(i int) {
+			cand := without(set, set[i])
+			s.delSets[i] = cand
+			s.delVals[i] = s.co.Value(cand)
+		})
+		if s.ev.canceled() {
+			return set, cur, false
+		}
+		bestI, bestVal := -1, cur
+		for i := 0; i < m; i++ {
+			if improves(s.delVals[i], cur, s.eps, denom) && s.delVals[i] > bestVal {
+				bestI, bestVal = i, s.delVals[i]
 			}
-			return rt.finishErr(best.Set, best.Value, r.Err)
 		}
-		ground = without(ground, r.Set...)
+		if bestI >= 0 {
+			set, cur = s.delSets[bestI], bestVal
+			resetMembers(member, set)
+			eng.invalidate()
+			moved = true
+			s.moves.Inc()
+		}
+
+		// Ln. 8–10: exchange operation — the best add or swap, if it
+		// clears the gate.
+		x, v := eng.next(set, member, cur)
+		if s.ev.canceled() {
+			return set, cur, false
+		}
+		d, dv, dset := s.bestSwap(set, member, cands)
+		if s.ev.canceled() {
+			return set, cur, false
+		}
+		switch {
+		case d >= 0 && (x < 0 || dv > v || dv == v && d < x):
+			if improves(dv, cur, s.eps, denom) {
+				set, cur = dset, dv
+				resetMembers(member, set)
+				eng.invalidate()
+				moved = true
+				s.moves.Inc()
+			}
+		case x >= 0 && improves(v, cur, s.eps, denom):
+			eng.take()
+			set, cur = with(set, x), v
+			member.Add(x)
+			moved = true
+			s.moves.Inc()
+		}
+
+		if !moved {
+			return set, cur, true
+		}
 	}
-	if math.IsInf(best.Value, -1) {
-		best = Result{Value: co.Value(nil)}
+}
+
+// bestSwap returns the best exchange that drops members — the highest
+// value, then the lowest d — as d, its value and its set (set − R) ∪ {d};
+// d is −1 when no element of cands outside the set is blocked and
+// admissible. Swaps sharing a base set − R probe through one add-probe
+// state.
+func (s *matroidSearch) bestSwap(set []int, member *bitset.Set, cands []int) (int, float64, []int) {
+	s.swaps, s.bases = s.swaps[:0], s.bases[:0]
+	for _, d := range cands {
+		if member.Contains(d) {
+			continue
+		}
+		r, ok := removals(s.ms, set, d)
+		if !ok || len(r) == 0 {
+			continue
+		}
+		base := without(set, r...)
+		cand := with(base, d)
+		if !matroid.AllIndependent(s.ms, cand) || !s.co.Feasible(cand) {
+			continue
+		}
+		b := slices.IndexFunc(s.bases, func(sb swapBase) bool { return slices.Equal(sb.r, r) })
+		if b < 0 {
+			b = len(s.bases)
+			s.bases = append(s.bases, swapBase{r: r, probe: beginAdds(s.co, base)})
+		}
+		s.swaps = append(s.swaps, swapMove{d: d, base: b, cand: cand})
 	}
-	return rt.finish(best.Set, best.Value)
+	s.swapVals = grow(s.swapVals, len(s.swaps))
+	s.ev.sweep(len(s.swaps), func(i int) {
+		w := s.swaps[i]
+		s.swapVals[i] = s.bases[w.base].probe.value(w.cand, w.d)
+	})
+	if s.ev.canceled() {
+		return -1, 0, nil
+	}
+	best := -1
+	for i := range s.swaps {
+		if best < 0 || s.swapVals[i] > s.swapVals[best] {
+			best = i
+		}
+	}
+	if best < 0 {
+		return -1, 0, nil
+	}
+	return s.swaps[best].d, s.swapVals[best], s.swaps[best].cand
+}
+
+// removals returns R, the members an exchange bringing in d drops: each
+// matroid in turn that refuses d after the earlier removals gives up its
+// conflicts with set. R is empty when every matroid admits d as it is;
+// ok is false when a matroid refuses d yet names no conflict.
+func removals(ms []matroid.Matroid, set []int, d int) (r []int, ok bool) {
+	for _, m := range ms {
+		rest := set
+		if len(r) > 0 {
+			rest = without(set, r...)
+		}
+		if m.CanAdd(rest, d) {
+			continue
+		}
+		conf := m.Conflicts(set, d)
+		if conf == nil {
+			return nil, false
+		}
+		r = append(r, conf...)
+	}
+	return r, true
+}
+
+// canAddAll reports whether every matroid admits x into set as it is.
+func canAddAll(ms []matroid.Matroid, set []int, x int) bool {
+	for _, m := range ms {
+		if !m.CanAdd(set, x) {
+			return false
+		}
+	}
+	return true
 }
 
 // GRASP is the randomized multi-start of Dong et al.: r rounds of greedy
@@ -552,11 +713,7 @@ func graspConstruct(co *CountingOracle, n, kappa int, rng *stats.RNG, ev evaluat
 	cur := co.Value(set)
 	vals := make([]float64, n)
 	ok := make([]bool, n)
-	type cand struct {
-		x int
-		v float64
-	}
-	var cands []cand
+	var cands []graspCand
 	for {
 		probe := beginAdds(co, set)
 		ev.sweep(n, func(x int) {
@@ -577,21 +734,14 @@ func graspConstruct(co *CountingOracle, n, kappa int, rng *stats.RNG, ev evaluat
 		cands = cands[:0]
 		for x := 0; x < n; x++ {
 			if ok[x] && vals[x] > cur {
-				cands = append(cands, cand{x, vals[x]})
+				cands = append(cands, graspCand{x, vals[x]})
 			}
 		}
 		if len(cands) == 0 {
 			return set, cur
 		}
-		// Restricted candidate list: the κ best by value (ties keep index
-		// order, so the draw below is deterministic for a seeded rng).
-		for i := 0; i < len(cands); i++ {
-			for j := i + 1; j < len(cands); j++ {
-				if cands[j].v > cands[i].v {
-					cands[i], cands[j] = cands[j], cands[i]
-				}
-			}
-		}
+		// Restricted candidate list: the κ best by value.
+		rankByValue(cands)
 		rcl := cands
 		if len(rcl) > kappa {
 			rcl = rcl[:kappa]
@@ -600,6 +750,29 @@ func graspConstruct(co *CountingOracle, n, kappa int, rng *stats.RNG, ev evaluat
 		set = with(set, pick.x)
 		member.Add(pick.x)
 		cur = pick.v
+	}
+}
+
+// graspCand is an improving candidate x of a GRASP construction step and
+// its value f(S ∪ {x}).
+type graspCand struct {
+	x int
+	v float64
+}
+
+// rankByValue orders cands by value, highest first, with an O(c²)
+// exchange sort. Ties do not keep index order: an exchange can carry a
+// candidate past its equals, so values 1, 1, 2 at indices 0, 1, 2 come
+// out as indices 2, 1, 0. The order is still a fixed function of the
+// list, which graspConstruct builds in index order, so the draw from it is
+// deterministic for a seeded rng.
+func rankByValue(cands []graspCand) {
+	for i := 0; i < len(cands); i++ {
+		for j := i + 1; j < len(cands); j++ {
+			if cands[j].v > cands[i].v {
+				cands[i], cands[j] = cands[j], cands[i]
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -261,6 +262,21 @@ func TestGRASPHillClimbDegenerate(t *testing.T) {
 	r := GRASP(simpleOracle(), 3, 1, 1, rng)
 	if !equalSets(r.Set, []int{0, 1}) {
 		t.Errorf("set = %v", r.Set)
+	}
+}
+
+// TestGRASPRankOrder pins the order of GRASP's restricted candidate list:
+// value descending, with ties in the order the exchange sort leaves them,
+// which is not index order.
+func TestGRASPRankOrder(t *testing.T) {
+	cands := []graspCand{{0, 1}, {1, 1}, {2, 2}}
+	rankByValue(cands)
+	var got []int
+	for _, c := range cands {
+		got = append(got, c.x)
+	}
+	if want := []int{2, 1, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("values 1, 1, 2 at indices 0, 1, 2 rank as %v, want %v", got, want)
 	}
 }
 
