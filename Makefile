@@ -27,37 +27,28 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X freshsource/internal/version.Version=$(VERSION) -X freshsource/internal/version.Commit=$(COMMIT)"
 
-# GOMAXPROCS for the committed multi-core bench profile. 2 keeps the
-# profile reproducible on small CI runners while still exercising the
-# parallel sweep paths. The host needs at least 2 CPUs: with one, extra
-# procs only time-slice a single core, so bench-multicore refuses to
-# record such a profile.
-MULTICORE_GOMAXPROCS ?= 2
+# GOMAXPROCS for every tracked bench run (bench and bench-check). 2 keeps
+# the baseline reproducible on small CI runners while still exercising the
+# parallel sweep paths; the seq variants do not depend on it. The host
+# needs at least 2 CPUs: with one, extra procs only time-slice a single
+# core, so bench refuses to record such a baseline.
+BENCH_GOMAXPROCS ?= 2
 
-# Time tolerance for the multi-core gate. Looser than BENCH_TOLERANCE
-# because shared runners suffer host CPU steal, which swings parallel wall
-# times far more than sequential ones. The gate targets order-of-magnitude
-# parallel-path regressions; precise timing
-# regressions stay gated by bench-check, and allocs/op — deterministic
-# regardless of contention — keep the tight BENCH_ALLOC_TOLERANCE.
-MULTICORE_TOLERANCE ?= 2.0
+# Speedup assertions: each Fast<Slow pair must hold in the fresh run
+# (benchjson -require-faster), at record time and in bench-check. Unlike
+# the tolerance gate this is never waived — it is what keeps CELF's pooled
+# singleton sweep and Greedy's pooled sweeps genuinely faster than their
+# sequential baselines. CI's quick run gates CELF at 1k; pairs whose
+# benchmarks a quick run skips (the 15k corpus) are noted, not failed, and
+# the full-scale run gates them.
+BENCH_FASTER ?= ScaleCELF/1k/parallel<ScaleCELF/1k/seq,ScaleCELF/15k/parallel<ScaleCELF/15k/seq,Greedy/parallel+incr<Greedy/incr
 
-# Speedup assertions for the multi-core profile: each Fast<Slow pair must
-# hold in the fresh run (benchjson -require-faster). Unlike the tolerance
-# gate this is never waived — it is what keeps CELF's pooled singleton
-# sweep and Greedy's pooled sweeps genuinely faster than their sequential
-# baselines whenever GOMAXPROCS > 1. CI's quick run gates CELF at 1k;
-# pairs whose benchmarks a quick run skips (the 15k corpus) are noted,
-# not failed, and the full-scale run gates them.
-MULTICORE_FASTER ?= ScaleCELF/1k/parallel<ScaleCELF/1k/seq,ScaleCELF/15k/parallel<ScaleCELF/15k/seq,Greedy/parallel+incr<Greedy/incr
+# Per-benchmark time. Longer than Go's 1s default so each require-faster
+# pair averages over a window wide enough to ride out shared-runner
+# CPU-steal spikes, which otherwise decide the comparison by lottery.
+BENCH_BENCHTIME ?= 3s
 
-# Per-benchmark time for the multi-core profile. Longer than the default
-# 1s so each gated pair averages over a window wide enough to ride out
-# shared-runner CPU-steal spikes, which otherwise decide the
-# require-faster comparison by lottery.
-MULTICORE_BENCHTIME ?= 3s
-
-.PHONY: build vet test race chaos lint cover bench bench-smoke bench-check bench-paper bench-multicore bench-multicore-check bench-harness verify
+.PHONY: build vet test race chaos lint cover bench bench-smoke bench-check bench-paper bench-harness verify
 
 build:
 	$(GO) build ./...
@@ -79,7 +70,7 @@ race:
 # under the race detector. Then each fuzz target over outside bytes runs
 # for 10 s from its seed corpus: those read from disk (epoch-log recovery,
 # the model-cache codec, snapshot reads, the tenant manifest) and the
-# /v1/select and /v1/quality request bodies. Short, so every CI run fuzzes
+# /v1/select, /v1/quality and /v1/observe request bodies. Short, so every CI run fuzzes
 # each decoder a little. Minimising a new input is capped at
 # 100 ms: at Go's 60 s default one minimisation can stall a target's whole
 # window, and at 1 s the minimisations of a run's new inputs still fill
@@ -129,59 +120,42 @@ BENCH_PKGS = ./internal/selection ./internal/estimate ./internal/modelcache
 
 # Selection hot-path benchmarks → BENCH_selection.json (ns/op and
 # allocs/op per variant plus speedups of each accelerated path over its
-# sequential baseline). BENCH_SCALE=full includes the 15k paper corpus.
+# sequential baseline), pinned at GOMAXPROCS=$(BENCH_GOMAXPROCS).
+# BENCH_SCALE=full includes the 15k paper corpus. Two recipe lines on
+# purpose: an env prefix only covers the first command of a pipeline, so
+# the bench run and the benchjson reduction each carry their own
+# GOMAXPROCS. The report is checked in /tmp and only then moved over
+# BENCH_selection.json, so a run on a 1-CPU host, at GOMAXPROCS=1 or with a
+# failed require-faster pair never replaces the committed baseline.
 bench:
-	BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -timeout 30m \
-		$(BENCH_PKGS) | tee /tmp/bench_selection.out
-	$(GO) run $(LDFLAGS) ./cmd/benchjson -out BENCH_selection.json < /tmp/bench_selection.out
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime=$(BENCH_BENCHTIME) -timeout 30m \
+		$(BENCH_PKGS) > /tmp/bench_selection.out
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) run $(LDFLAGS) ./cmd/benchjson -out /tmp/bench_selection.json \
+		-require-faster '$(BENCH_FASTER)' < /tmp/bench_selection.out
+	@grep -q '"gomaxprocs": "1"' /tmp/bench_selection.json && \
+		{ echo "bench: baseline recorded at GOMAXPROCS=1; want >1"; exit 1; } || true
+	@grep -q '"numcpu": "1"' /tmp/bench_selection.json && \
+		{ echo "bench: baseline recorded on 1 CPU; want numcpu >= 2"; exit 1; } || true
+	mv /tmp/bench_selection.json BENCH_selection.json
 
 # One-iteration pass over the same benchmarks: CI's compile-and-run gate.
 bench-smoke:
 	BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime=1x -timeout 30m \
 		$(BENCH_PKGS)
 
-# Bench-regression gate: run the tracked benchmarks fresh and diff against
-# the committed BENCH_selection.json; fails on any slowdown beyond
-# BENCH_TOLERANCE or allocs/op growth beyond BENCH_ALLOC_TOLERANCE.
-# Refresh the baseline with `make bench BENCH_SCALE=full` after intended
-# performance changes. Quick runs simply skip the 15k benchmarks — absent
-# benchmarks are compare warnings, not failures.
+# Bench-regression gate: run the tracked benchmarks fresh at
+# GOMAXPROCS=$(BENCH_GOMAXPROCS) and diff against the committed
+# BENCH_selection.json; fails on any slowdown beyond BENCH_TOLERANCE,
+# allocs/op growth beyond BENCH_ALLOC_TOLERANCE or a require-faster pair
+# that does not hold. Refresh the baseline with `make bench BENCH_SCALE=full`
+# after intended performance changes. Quick runs simply skip the 15k
+# benchmarks — absent benchmarks are compare warnings, not failures.
 bench-check:
-	BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -timeout 30m \
-		$(BENCH_PKGS) | \
-		$(GO) run $(LDFLAGS) ./cmd/benchjson -compare BENCH_selection.json \
-			-tolerance $(BENCH_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE)
-
-# Multi-core bench profile → BENCH_multicore.json: the same tracked
-# benchmarks pinned at GOMAXPROCS=$(MULTICORE_GOMAXPROCS), so the parallel
-# sweep speedups are gated on a profile that actually has cores (the
-# default BENCH_selection.json baseline may come from a single-core box,
-# where benchjson waives the parallel-variant gate entirely). Two recipe
-# lines on purpose: an env prefix only covers the first command of a
-# pipeline, so the bench run and the benchjson reduction each carry their
-# own GOMAXPROCS. The profile is checked in /tmp and only then moved over
-# BENCH_multicore.json, so a run at GOMAXPROCS=1 or on a 1-CPU host never
-# replaces the committed baseline.
-bench-multicore:
-	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime=$(MULTICORE_BENCHTIME) -timeout 30m \
-		$(BENCH_PKGS) > /tmp/bench_multicore.out
-	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) $(GO) run $(LDFLAGS) ./cmd/benchjson -out /tmp/bench_multicore.json \
-		-require-faster '$(MULTICORE_FASTER)' < /tmp/bench_multicore.out
-	@grep -q '"gomaxprocs": "1"' /tmp/bench_multicore.json && \
-		{ echo "bench-multicore: profile recorded GOMAXPROCS=1; want >1"; exit 1; } || true
-	@grep -q '"numcpu": "1"' /tmp/bench_multicore.json && \
-		{ echo "bench-multicore: profile recorded on 1 CPU; want numcpu >= 2"; exit 1; } || true
-	mv /tmp/bench_multicore.json BENCH_multicore.json
-
-# Multi-core regression gate: fresh GOMAXPROCS-pinned run diffed against
-# the committed BENCH_multicore.json, parallel-variant speedup gate
-# included (never waived, unlike a single-core run).
-bench-multicore-check:
-	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime=$(MULTICORE_BENCHTIME) -timeout 30m \
-		$(BENCH_PKGS) > /tmp/bench_multicore.out
-	GOMAXPROCS=$(MULTICORE_GOMAXPROCS) $(GO) run $(LDFLAGS) ./cmd/benchjson -compare BENCH_multicore.json \
-		-tolerance $(MULTICORE_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE) \
-		-require-faster '$(MULTICORE_FASTER)' < /tmp/bench_multicore.out
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime=$(BENCH_BENCHTIME) -timeout 30m \
+		$(BENCH_PKGS) > /tmp/bench_check.out
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) run $(LDFLAGS) ./cmd/benchjson -compare BENCH_selection.json \
+		-tolerance $(BENCH_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE) \
+		-require-faster '$(BENCH_FASTER)' < /tmp/bench_check.out
 
 # Scaled-down paper-experiment benches at the repo root.
 bench-paper:

@@ -19,7 +19,7 @@
 // run. Applied whenever GOMAXPROCS > 1, with or without -compare — this
 // is the gate that keeps the parallel CELF path genuinely faster than
 // sequential. A profile only measures parallel speedup on at least two
-// CPUs; `make bench-multicore` refuses to record one with numcpu < 2.
+// CPUs; `make bench` refuses to record one with numcpu < 2.
 //
 // Usage:
 //
@@ -69,7 +69,7 @@ func main() {
 		// cannot overlap sweeps, so "parallel beats sequential" is vacuously
 		// unachievable. A numcpu=1 run with GOMAXPROCS>1 only time-slices
 		// one core and proves nothing either way; it is still checked, and
-		// `make bench-multicore` refuses to record its profile.
+		// `make bench` refuses to record its baseline.
 		if rep.Context["gomaxprocs"] == "1" {
 			fmt.Fprintf(os.Stderr, "benchjson: note: -require-faster skipped (GOMAXPROCS=1)\n")
 		} else {

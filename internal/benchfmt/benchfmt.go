@@ -1,5 +1,5 @@
 // Package benchfmt defines the benchmark report format of the library
-// microbenchmarks (BENCH_selection.json, BENCH_multicore.json):
+// microbenchmarks (BENCH_selection.json):
 // cmd/benchjson parses `go test -bench` text into a Report and diffs
 // Reports for the CI regression gate.
 package benchfmt

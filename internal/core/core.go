@@ -270,7 +270,7 @@ type Selection struct {
 }
 
 // matroidOracle layers matroid feasibility on top of the profit oracle for
-// the algorithms that only understand Feasible (Greedy, GRASP).
+// the algorithms that only understand Feasible (Greedy, GRASP, budgeted).
 type matroidOracle struct {
 	*gain.Profit
 	ms []matroid.Matroid
@@ -317,7 +317,10 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 		res = selection.Greedy(oracle, n, sopts...)
 	case MaxSub:
 		if len(p.ms) > 0 {
-			res = selection.MatroidMax(oracle, n, p.ms, opt.Epsilon, sopts...)
+			// The matroid search enforces its matroids on every move, so it
+			// takes the bare profit: matroidOracle's Feasible would check
+			// each set's independence again.
+			res = selection.MatroidMax(p.profit, n, p.ms, opt.Epsilon, sopts...)
 		} else {
 			res = selection.MaxSub(oracle, n, opt.Epsilon, sopts...)
 		}

@@ -22,7 +22,7 @@ func TestTrainRunToRunDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		quals = append(quals, tr.Est.Quality([]int{0, 3, 5}, ticks[2]).Coverage)
+		quals = append(quals, tr.Est.QualityMulti([]int{0, 3, 5}, ticks[2:3])[0].Coverage)
 		costs = append(costs, tr.Cost.Cost(3)/tr.Cost.Total())
 		p, err := NewProblem(tr, ticks, gain.Linear{Metric: gain.Coverage}, ProblemOptions{})
 		if err != nil {

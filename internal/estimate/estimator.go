@@ -395,15 +395,6 @@ func (e *Estimator) NumCandidates() int { return len(e.cands) }
 // Candidate returns the i-th candidate.
 func (e *Estimator) Candidate(i int) *Candidate { return e.cands[i] }
 
-// Points returns the estimator's query domain.
-func (e *Estimator) Points() []world.DomainPoint { return e.points }
-
-// Quality estimates the quality of integrating the candidate set at tick t.
-// set holds candidate indices.
-func (e *Estimator) Quality(set []int, t timeline.Tick) QualityEstimate {
-	return e.QualityMulti(set, []timeline.Tick{t})[0]
-}
-
 // QualityMulti estimates quality at several future ticks, computing the
 // signature unions once. Ticks must lie in [T0, MaxT].
 //
@@ -499,13 +490,14 @@ func (e *Estimator) candidateMiss(c *Candidate, t timeline.Tick, dt0 int, missIn
 
 // qualityAt evaluates Equations 12–19 at one tick. covering[j] lists the
 // set's candidates that observe point j. base, when non-nil, supplies the
-// covering lists' pre-folded miss products for this tick, read in place
-// with extra's terms applied on the fly — the probe never copies or writes
-// a miss buffer. extra, when non-nil, is one more candidate layered on top
-// (the incremental add path) whose effectiveness terms apply after
-// covering[j]'s — the same order, and op for op the same float sequence, as
-// a from-scratch evaluation of the set with extra appended last; scratch
-// holds reusable buffers for the from-scratch path.
+// covering lists' pre-folded miss products for this tick, read in place;
+// without it the products are folded from scratch into scratch's buffers,
+// the same float sequence buildMiss caches. extra, when non-nil, is one
+// more candidate layered on top (the incremental add path, which always
+// passes base) whose effectiveness terms apply on the fly after
+// covering[j]'s — the same order, and op for op the same float sequence,
+// as a from-scratch evaluation of the set with extra appended last. Both
+// paths then run one recurrence.
 func (e *Estimator) qualityAt(t timeline.Tick, covT0, upT0, sizeT0 []int, covering [][]*Candidate, base *tickMiss, extra *Candidate, scratch *missBuffers) QualityEstimate {
 	var omega, covered, up, size float64
 	dt0 := int(t - e.T0)
@@ -544,78 +536,64 @@ func (e *Estimator) qualityAt(t timeline.Tick, covT0, upT0, sizeT0 []int, coveri
 		oldCov := float64(covT0[j]) * survDel[dt0]
 		oldUp := float64(upT0[j]) * survDel[dt0] * survUpd[dt0]
 
-		var ins, del, insUp, exUp float64
+		// The miss products of Eq. 9–11 over occurrence indices 0 … dt0−1:
+		// the cached base's, read in place, or folded from scratch into the
+		// scratch buffers, one pass per covering candidate. Re-sliced to dt0
+		// so the loops below index them without bounds checks.
+		var bIns, bDel, bUpd []float64
 		if base != nil {
-			// Fused probe path: read the cached base products in place and
-			// multiply in extra's terms per element — no copy, no store. The
-			// loop splits at the last index extra's terms reach (foldEnd) so
-			// each half stays branch-free.
-			bIns, bDel, bUpd := base.ins[j], base.del[j], base.upd[j]
-			foldEnd := -1
-			if extra != nil && extra.covers[j] {
-				scratch.candTerms += int64(xiMax + 1)
-				if foldEnd = xiMax; foldEnd < -1 {
-					foldEnd = -1
-				}
-			}
-			for i := 0; i <= foldEnd; i++ {
-				d := xd0 - 1 - i
-				mi := bIns[i] * (1 - xgi[d])
-				md := bDel[i] * (1 - xcv*xgd[d])
-				mu := bUpd[i] * (1 - xcv*xgu[d])
-				dtau := dt0 - 1 - i // t − τ
-				sd, su := survDel[dtau], survUpd[dtau]
-				if e.Literal {
-					sd, su = survDel[dt0], survUpd[dt0]
-				}
-				prIns := 1 - mi
-				ins += lamIns[i+1] * survDel[dtau] * prIns
-				del += lamDel[i+1] * (1 - md)
-				insUp += lamIns[i+1] * sd * su * prIns
-				exUp += lamUpd[i+1] * sd * su * (1 - mu)
-			}
-			for i := foldEnd + 1; i < dt0; i++ {
-				dtau := dt0 - 1 - i
-				sd, su := survDel[dtau], survUpd[dtau]
-				if e.Literal {
-					sd, su = survDel[dt0], survUpd[dt0]
-				}
-				prIns := 1 - bIns[i]
-				ins += lamIns[i+1] * survDel[dtau] * prIns
-				del += lamDel[i+1] * (1 - bDel[i])
-				insUp += lamIns[i+1] * sd * su * prIns
-				exUp += lamUpd[i+1] * sd * su * (1 - bUpd[i])
-			}
+			bIns, bDel, bUpd = base.ins[j], base.del[j], base.upd[j]
 		} else {
-			// From-scratch path: fold every covering candidate into the
-			// scratch miss buffers (Eq. 9–11), one pass per candidate, then
-			// run the recurrence.
-			missIns := scratch.ins[:dt0]
-			missDel := scratch.del[:dt0]
-			missUpd := scratch.upd[:dt0]
-			for i := range missIns {
-				missIns[i], missDel[i], missUpd[i] = 1, 1, 1
+			bIns, bDel, bUpd = scratch.ins[:dt0], scratch.del[:dt0], scratch.upd[:dt0]
+			for i := range bIns {
+				bIns[i], bDel[i], bUpd[i] = 1, 1, 1
 			}
 			for _, c := range covering[j] {
-				scratch.candTerms += e.candidateMiss(c, t, dt0, missIns, missDel, missUpd)
+				scratch.candTerms += e.candidateMiss(c, t, dt0, bIns, bDel, bUpd)
 			}
-			if extra != nil && extra.covers[j] {
-				scratch.candTerms += e.candidateMiss(extra, t, dt0, missIns, missDel, missUpd)
+		}
+		bIns, bDel, bUpd = bIns[:dt0], bDel[:dt0], bUpd[:dt0]
+
+		// Eq. 15, Eq. 19, and the E[InsUp]/E[ExUp] sums, with the
+		// time-varying λi(τ) (seasonal subdomains), λd(τ), λu(τ). extra's
+		// terms multiply in per element — no copy, no store. The loop
+		// splits at the last index they reach (foldEnd) so each half stays
+		// branch-free.
+		var ins, del, insUp, exUp float64
+		foldEnd := -1
+		if extra != nil && extra.covers[j] {
+			scratch.candTerms += int64(xiMax + 1)
+			if foldEnd = xiMax; foldEnd < -1 {
+				foldEnd = -1
 			}
-			for i := 0; i < dt0; i++ {
-				dtau := dt0 - 1 - i // t − τ
-				sd, su := survDel[dtau], survUpd[dtau]
-				if e.Literal {
-					sd, su = survDel[dt0], survUpd[dt0]
-				}
-				prIns := 1 - missIns[i]
-				// Eq. 15, Eq. 19, and the E[InsUp]/E[ExUp] sums, with the
-				// time-varying λi(τ) (seasonal subdomains), λd(τ), λu(τ).
-				ins += lamIns[i+1] * survDel[dtau] * prIns
-				del += lamDel[i+1] * (1 - missDel[i])
-				insUp += lamIns[i+1] * sd * su * prIns
-				exUp += lamUpd[i+1] * sd * su * (1 - missUpd[i])
+		}
+		for i := 0; i <= foldEnd; i++ {
+			d := xd0 - 1 - i
+			mi := bIns[i] * (1 - xgi[d])
+			md := bDel[i] * (1 - xcv*xgd[d])
+			mu := bUpd[i] * (1 - xcv*xgu[d])
+			dtau := dt0 - 1 - i // t − τ
+			sd, su := survDel[dtau], survUpd[dtau]
+			if e.Literal {
+				sd, su = survDel[dt0], survUpd[dt0]
 			}
+			prIns := 1 - mi
+			ins += lamIns[i+1] * survDel[dtau] * prIns
+			del += lamDel[i+1] * (1 - md)
+			insUp += lamIns[i+1] * sd * su * prIns
+			exUp += lamUpd[i+1] * sd * su * (1 - mu)
+		}
+		for i := foldEnd + 1; i < dt0; i++ {
+			dtau := dt0 - 1 - i
+			sd, su := survDel[dtau], survUpd[dtau]
+			if e.Literal {
+				sd, su = survDel[dt0], survUpd[dt0]
+			}
+			prIns := 1 - bIns[i]
+			ins += lamIns[i+1] * survDel[dtau] * prIns
+			del += lamDel[i+1] * (1 - bDel[i])
+			insUp += lamIns[i+1] * sd * su * prIns
+			exUp += lamUpd[i+1] * sd * su * (1 - bUpd[i])
 		}
 		scratch.steps += int64(dt0)
 

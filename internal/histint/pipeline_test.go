@@ -90,8 +90,8 @@ func TestReconstructedTrainingMatchesGold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tk := range []timeline.Tick{150, 170, 190} {
-		qg := gold.Quality([]int{0, 1}, tk)
-		qr := recon.Quality([]int{0, 1}, tk)
+		qg := gold.QualityMulti([]int{0, 1}, []timeline.Tick{tk})[0]
+		qr := recon.QualityMulti([]int{0, 1}, []timeline.Tick{tk})[0]
 		if math.Abs(qg.Coverage-qr.Coverage) > 0.08 {
 			t.Errorf("tick %d: gold coverage %v vs reconstructed %v", tk, qg.Coverage, qr.Coverage)
 		}

@@ -96,7 +96,7 @@ func benchVariants(e *benchEnv) []struct {
 	}{
 		{"seq", func() Oracle { return fullOracle{e.profit} }, nil},
 		// Greedy's incr and parallel+incr are gated pairwise against each
-		// other (benchjson -require-faster in the multicore profile), so
+		// other (benchjson -require-faster in bench and bench-check), so
 		// they run back-to-back: adjacent windows share the same host-load
 		// weather, keeping the comparison about the code.
 		{"incr", func() Oracle { return scanOracle{e.profit} }, nil},

@@ -113,10 +113,12 @@ func (h *celfHeap) pop() celfEntry {
 // addEngine finds Greedy's next add move — the feasible non-member x with
 // the highest f(S ∪ {x}), lowest index on ties, provided it beats f(S) —
 // for Greedy, for MaxSub's add moves and for the exchanges of the matroid
-// search that drop nothing. A sweep probes every candidate against S. On
-// the lazy path (the oracle reports submodularity) one sweep seeds the
-// engine and each later pick re-probes only the stale bounds that could
-// still reach it (CELF); otherwise every pick sweeps.
+// search that drop nothing. A sweep probes every candidate against S;
+// BudgetedGreedy's ratio rounds and GRASP's construction steps read each
+// sweep's fresh entries whole and apply their own rules. On the lazy path
+// (the oracle reports submodularity) one sweep seeds the engine and each
+// later pick re-probes only the stale bounds that could still reach it
+// (CELF); otherwise every pick sweeps.
 //
 // Entries probed against the current set are fresh; taking a pick turns
 // the other fresh entries into stale bounds in the heap. Diminishing

@@ -90,7 +90,7 @@ type lazyIncr struct{ IncrementalOracle }
 func (lazyIncr) Submodular() bool { return true }
 
 // randomWC builds a seeded random instance with n candidates over a
-// 3n-item universe.
+// 3n-item universe, each covering 1–6 distinct items.
 func randomWC(n int, seed int64) *wcOracle {
 	rng := rand.New(rand.NewSource(seed))
 	items := 3 * n
@@ -103,7 +103,9 @@ func randomWC(n int, seed int64) *wcOracle {
 		o.weight[i] = 1 + rng.Intn(9)
 	}
 	for c := 0; c < n; c++ {
-		k := 1 + rng.Intn(6)
+		// At most the universe: a 3-item universe (n = 1) cannot hold 6
+		// distinct items.
+		k := min(1+rng.Intn(6), items)
 		seen := make(map[int]bool)
 		for len(o.covers[c]) < k {
 			it := rng.Intn(items)

@@ -1,6 +1,10 @@
 package selection
 
-import "math"
+import (
+	"math"
+
+	"freshsource/internal/bitset"
+)
 
 // This file extends the paper's algorithm suite with the cost-benefit
 // greedy for a knapsack budget βc (Definition 3's constraint, which the
@@ -14,72 +18,53 @@ import "math"
 // BudgetedGreedy maximizes under the oracle's feasibility (budget)
 // constraint using cost-per-unit marginals, returning the better of the
 // ratio-greedy solution and the best feasible singleton. cost reports each
-// candidate's (rescaled) cost.
+// candidate's (rescaled) cost. Each ratio round reads the add engine's
+// full sweep; the first round probes every singleton, so its best entry is
+// the fallback.
 func BudgetedGreedy(f Oracle, n int, cost func(int) float64, opts ...Option) Result {
 	co, rt := traceRun(f, "budgeted")
 	ev := newEvaluator(opts)
 	defer ev.close()
+	eng := newAddEngine(co, ev, n)
 
-	// Ratio greedy.
 	var set []int
+	member := bitset.New(n)
 	cur := co.Value(set)
-	taken := make([]bool, n)
-	vals := make([]float64, n)
-	ok := make([]bool, n)
+	single, singleVal := -1, 0.0
 	for {
-		probe := beginAdds(co, set)
-		ev.sweep(n, func(x int) {
-			ok[x] = false
-			if taken[x] {
-				return
-			}
-			cand := with(set, x)
-			if !co.Feasible(cand) {
-				return
-			}
-			vals[x] = probe.value(cand, x)
-			ok[x] = true
-		})
+		eng.sweep(set, member, cur)
 		if ev.canceled() {
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
-		bestIdx := -1
-		bestRatio := 0.0
-		bestVal := cur
-		for x := 0; x < n; x++ {
-			if !ok[x] {
+		if len(set) == 0 {
+			single, singleVal = eng.top()
+		}
+		// The best ratio of a positive gain, zero cost ranking +Inf; the
+		// lowest index on ties.
+		best, bestRatio := -1, 0.0
+		for i, e := range eng.fresh {
+			if e.gain <= 0 {
 				continue
 			}
-			delta := vals[x] - cur
-			if delta <= 0 {
-				continue
+			ratio := math.Inf(1)
+			if c := cost(int(e.idx)); c > 0 {
+				ratio = e.gain / c
 			}
-			c := cost(x)
-			ratio := delta
-			if c > 0 {
-				ratio = delta / c
-			} else {
-				ratio = math.Inf(1)
-			}
-			if bestIdx < 0 || ratio > bestRatio {
-				bestIdx, bestRatio, bestVal = x, ratio, vals[x]
+			if best < 0 || ratio > bestRatio {
+				best, bestRatio = i, ratio
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			break
 		}
-		taken[bestIdx] = true
-		set = with(set, bestIdx)
-		cur = bestVal
+		e := eng.fresh[best]
+		set = with(set, int(e.idx))
+		member.Add(int(e.idx))
+		cur = e.val
 	}
 
-	// Best feasible singleton.
-	singleton, sVal := bestSingleton(co, n, ev)
-	if ev.canceled() {
-		return rt.finishErr(set, cur, ErrCanceled)
-	}
-	if singleton != nil && sVal > cur {
-		set, cur = singleton, sVal
+	if single >= 0 && singleVal > cur {
+		set, cur = []int{single}, singleVal
 	}
 	return rt.finish(set, cur)
 }

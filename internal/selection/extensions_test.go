@@ -138,8 +138,9 @@ func TestBudgetedGreedyNoPositiveCandidates(t *testing.T) {
 		costs:   []float64{5},
 	}
 	r := BudgetedGreedy(o, 1, func(i int) float64 { return o.costs[i] })
-	// The singleton has negative profit but bestSingleton still reports
-	// it; ratio greedy takes nothing. Result must be the max of the two.
+	// The singleton has negative profit, so ratio greedy takes nothing,
+	// but the first round's sweep still reports it as the best singleton.
+	// Result must be the max of the two.
 	if r.Value < -4.9-1e-9 {
 		t.Errorf("value = %v", r.Value)
 	}

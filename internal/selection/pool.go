@@ -10,10 +10,11 @@ import (
 // parallel sweeps. Before the pool, every parallel sweep spawned (and
 // joined) its own goroutines, which taxed each round with scheduler
 // churn — enough to make small-round parallel runs lose to sequential
-// ones (the Greedy/parallel+incr inversion in BENCH_multicore.json). The
-// pool starts its helpers lazily on the first sweep large enough to fan
-// out, reuses them for every subsequent sweep of the run, and is shut
-// down by evaluator.close when the run finishes or is canceled.
+// ones (the Greedy/parallel+incr inversion of an early multi-core bench
+// profile). The pool starts its helpers lazily on the first sweep large
+// enough to fan out, reuses them for every subsequent sweep of the run,
+// and is shut down by evaluator.close when the run finishes or is
+// canceled.
 //
 // Dispatch model: a sweep publishes one sweepJob and enqueues it once per
 // helper; helpers and the calling goroutine all pull move indices off the

@@ -122,9 +122,9 @@ func skipUnlessFull(b *testing.B) {
 // The paper target: the 15k-candidate solve completes in under a second.
 // The seq variant is the single-threaded solve; parallel fans the
 // singleton sweep across all cores through the persistent sweep pool, and
-// the stale recomputes after it run one heap pop at a time either way. The
-// multi-core bench profile gates parallel strictly faster than seq at 1k
-// and 15k via benchjson -require-faster.
+// the stale recomputes after it run one heap pop at a time either way.
+// make bench and bench-check, pinned at GOMAXPROCS=2, gate parallel
+// strictly faster than seq at 1k and 15k via benchjson -require-faster.
 func BenchmarkScaleCELF(b *testing.B) {
 	variants := []struct {
 		name string

@@ -20,13 +20,20 @@
 //   - GRASP(κ, r): r rounds of randomized greedy construction (uniform
 //     choice among the κ best positive-marginal candidates) followed by
 //     add/drop/swap hill climbing.
+//   - BudgetedGreedy: the cost-benefit greedy for a knapsack budget, with
+//     a best-singleton fallback (extensions.go).
 //
 // All algorithms consume a value oracle and an optional feasibility
 // predicate (the budget βc) and report the selected set, its value, the
 // number of oracle calls and the wall-clock duration.
 //
-// Every algorithm's inner loop is a candidate sweep: evaluate each legal
-// move's value, then take the best. Sweeps run through one engine
+// Every algorithm draws its moves from two kernels. The add engine
+// (addEngine) probes the additions to the current set: Greedy's picks and
+// the adds of MaxSub and the matroid search come from it, lazily where
+// the oracle allows, and budgeted's ratio rounds and GRASP's construction
+// steps read its full sweeps. The exchange sweep (exchangeSweep) probes
+// every move that drops members: deletes, swaps, and the hill climb's
+// adds, drops and swaps listed together. Both sweep through one engine
 // (evaluator.sweep) that can fan evaluations across workers — see the
 // Parallel option — and probe additions incrementally when the oracle
 // implements IncrementalOracle. Both accelerations are exact: move values
@@ -42,6 +49,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"freshsource/internal/bitset"
@@ -164,6 +172,111 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// exchangeSweep is the second move kernel, behind every move that drops
+// members: the deletes of MaxSub and of the matroid search, the matroid
+// search's swaps, and GRASP's hill climb. A move is a base set — the
+// current set less some members — plus at most one added element. One
+// sweep evaluates every listed move, fanned across the sweep pool when
+// wide. A move that adds x must fit; a drop, which adds nothing, is never
+// feasibility-gated, since shrinking a feasible set keeps it within an
+// additive budget and independent. A drop evaluates its base in full; the
+// moves that add to one base probe through one add-probe state, built by
+// the first of them that fits. The winner is the first best move in list
+// order, so callers list moves in their scan order.
+type exchangeSweep struct {
+	co *CountingOracle
+	ev evaluator
+	// fits reports whether x may join a base: cand is the base with x
+	// appended. It defaults to the oracle's Feasible; the matroid search
+	// folds in its matroids.
+	fits func(cand []int, x int) bool
+
+	bases  [][]int
+	probes []addProber
+	once   []sync.Once
+	moves  []exchange
+	vals   []float64
+	ok     []bool
+}
+
+// exchange is one listed move: bases[base] with add appended, or the base
+// alone when add < 0.
+type exchange struct{ base, add int }
+
+func newExchangeSweep(co *CountingOracle, ev evaluator) *exchangeSweep {
+	x := &exchangeSweep{co: co, ev: ev}
+	x.fits = func(cand []int, _ int) bool { return co.Feasible(cand) }
+	return x
+}
+
+// reset empties the move list.
+func (x *exchangeSweep) reset() { x.bases, x.moves = x.bases[:0], x.moves[:0] }
+
+// base lists a base set, which must stay unchanged until the next reset,
+// and returns its index.
+func (x *exchangeSweep) base(set []int) int {
+	x.bases = append(x.bases, set)
+	return len(x.bases) - 1
+}
+
+// move lists base ∪ {add}, or the drop to the base alone when add < 0.
+func (x *exchangeSweep) move(base, add int) { x.moves = append(x.moves, exchange{base, add}) }
+
+// drops lists the moves that drop one member each, in set order, and
+// returns the first one's base index: set less set[i] is base first+i.
+func (x *exchangeSweep) drops(set []int) (first int) {
+	first = len(x.bases)
+	for _, y := range set {
+		x.move(x.base(without(set, y)), -1)
+	}
+	return first
+}
+
+// best sweeps the listed moves and returns the first in list order of
+// those with the highest value above floor: its index, value and set. k is
+// −1 when no move fits and beats floor, or when the run was canceled;
+// callers check the evaluator before trusting it.
+func (x *exchangeSweep) best(floor float64) (k int, v float64, set []int) {
+	nb, m := len(x.bases), len(x.moves)
+	x.probes, x.once = grow(x.probes, nb), grow(x.once, nb)
+	clear(x.probes)
+	clear(x.once)
+	x.vals, x.ok = grow(x.vals, m), grow(x.ok, m)
+	x.ev.sweep(m, func(i int) {
+		x.ok[i] = false
+		mv := x.moves[i]
+		base := x.bases[mv.base]
+		if mv.add < 0 {
+			x.vals[i] = x.co.Value(base)
+		} else {
+			cand := with(base, mv.add)
+			if !x.fits(cand, mv.add) {
+				return
+			}
+			x.once[mv.base].Do(func() { x.probes[mv.base] = beginAdds(x.co, base) })
+			x.vals[i] = x.probes[mv.base].value(cand, mv.add)
+		}
+		x.ok[i] = true
+	})
+	if x.ev.canceled() {
+		return -1, 0, nil
+	}
+	k, v = -1, floor
+	for i := 0; i < m; i++ {
+		if x.ok[i] && x.vals[i] > v {
+			k, v = i, x.vals[i]
+		}
+	}
+	if k < 0 {
+		return -1, 0, nil
+	}
+	mv := x.moves[k]
+	if set = x.bases[mv.base]; mv.add >= 0 {
+		set = with(set, mv.add)
+	}
+	return k, v, set
+}
+
 // Greedy is the greedy baseline of Dong et al.: starting from the empty
 // set, repeatedly add the feasible candidate with the best positive
 // marginal profit (the highest f(S ∪ {x}), lowest index on ties); stop
@@ -247,8 +360,7 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 	member := members(n, set)
 
 	// Ln. 4–10: local add/delete moves.
-	vals := make([]float64, n)
-	cands := make([][]int, n)
+	dels := newExchangeSweep(co, ev)
 	for {
 		moved := false
 		// Addition: the best addition, if it clears the threshold.
@@ -263,27 +375,16 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 			moved = true
 			moves.Inc()
 		}
-		// Deletion sweep (the sequential path never feasibility-gated
-		// deletions; shrinking a feasible set keeps an additive budget).
-		m := len(set)
-		ev.sweep(m, func(i int) {
-			cand := without(set, set[i])
-			cands[i] = cand
-			vals[i] = co.Value(cand)
-		})
+		// Deletion: the best drop, if it clears the threshold.
+		dels.reset()
+		dels.drops(set)
+		k, v, next := dels.best(cur)
 		if ev.canceled() {
 			return rt.finishErr(set, cur, ErrCanceled)
 		}
-		bestI := -1
-		bestVal := cur
-		for i := 0; i < m; i++ {
-			if improves(vals[i], cur, eps, denom) && vals[i] > bestVal {
-				bestI, bestVal = i, vals[i]
-			}
-		}
-		if bestI >= 0 {
-			member.Remove(set[bestI])
-			set, cur = cands[bestI], bestVal
+		if k >= 0 && improves(v, cur, eps, denom) {
+			member.Remove(set[k])
+			set, cur = next, v
 			eng.invalidate()
 			moved = true
 			moves.Inc()
@@ -306,32 +407,6 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 		}
 	}
 	return rt.finish(set, cur)
-}
-
-// bestSingleton sweeps the feasible singletons and returns the best.
-func bestSingleton(co *CountingOracle, n int, ev evaluator) ([]int, float64) {
-	vals := make([]float64, n)
-	ok := make([]bool, n)
-	probe := beginAdds(co, nil)
-	ev.sweep(n, func(x int) {
-		ok[x] = false
-		cand := []int{x}
-		if !co.Feasible(cand) {
-			return
-		}
-		vals[x] = probe.value(cand, x)
-		ok[x] = true
-	})
-	bestIdx, bestVal := -1, math.Inf(-1)
-	for x := 0; x < n; x++ {
-		if ok[x] && vals[x] > bestVal {
-			bestIdx, bestVal = x, vals[x]
-		}
-	}
-	if bestIdx < 0 {
-		return nil, 0
-	}
-	return []int{bestIdx}, bestVal
 }
 
 // MatroidLocalSearch is Algorithm 3: local search over ground (a subset of
@@ -393,19 +468,21 @@ func MatroidMax(f Oracle, n int, ms []matroid.Matroid, eps float64, opts ...Opti
 }
 
 // matroidSearch holds what the runs of Algorithm 3 within one call share:
-// the oracle, the evaluator, the matroids and the singleton probes.
+// the oracle, the evaluator, the matroids, the singleton probes and the
+// exchange sweep.
 //
 // Each run's exchange step splits Ln. 8–10's moves in two. An exchange
 // whose element d every matroid admits as it is drops nothing: it is an
 // add, and the run's add engine supplies the best one, with the matroids
 // and the ground set folded into its feasibility. Only the elements some
-// matroid blocks are probed as swaps, incrementally, through one add-probe
-// state per distinct base set − R. A delete or a swap invalidates the
-// engine, as MaxSub's deletes do; on submodular oracles the adds between
-// them probe lazily, and the singleton sweep's gains over f(∅) seed every
-// run's heap. The best exchange is the better of the best add and the best
-// swap, lowest index on ties, and both are exact, so each run takes the
-// move a full scan of every exchange would take.
+// matroid blocks are probed as swaps, on the exchange sweep, whose moves
+// on one distinct base set − R share one add-probe state. A delete or a
+// swap invalidates the engine, as MaxSub's deletes do; on submodular
+// oracles the adds between them probe lazily, and the singleton sweep's
+// gains over f(∅) seed every run's heap. The best exchange is the better
+// of the best add and the best swap, lowest index on ties, and both are
+// exact, so each run takes the move a full scan of every exchange would
+// take.
 type matroidSearch struct {
 	co  *CountingOracle
 	ev  evaluator
@@ -424,32 +501,20 @@ type matroidSearch struct {
 	ok    []bool
 	empty float64
 
-	// Scratch of the delete and swap steps, reused from step to step.
-	swaps    []swapMove
-	bases    []swapBase
-	swapVals []float64
-	delSets  [][]int
-	delVals  []float64
+	// x sweeps the delete and swap steps; rs[b] is the R of the swap
+	// step's base b.
+	x  *exchangeSweep
+	rs [][]int
 
 	moves *obs.CounterVar
 }
 
-// swapMove brings in d and drops the members its base leaves out: cand is
-// bases[base]'s set with d appended.
-type swapMove struct {
-	d, base int
-	cand    []int
-}
-
-// swapBase is one distinct base set − R with its add-probe state.
-type swapBase struct {
-	r     []int
-	probe addProber
-}
-
 func newMatroidSearch(co *CountingOracle, ev evaluator, ms []matroid.Matroid, eps float64, ground []int) *matroidSearch {
 	s := &matroidSearch{co: co, ev: ev, ms: ms, eps: eps, lazy: co.Submodular(),
-		moves: obs.Counter("selection.matroidlocal.moves")}
+		x: newExchangeSweep(co, ev), moves: obs.Counter("selection.matroidlocal.moves")}
+	s.x.fits = func(cand []int, _ int) bool {
+		return matroid.AllIndependent(ms, cand) && co.Feasible(cand)
+	}
 	for _, m := range ms {
 		s.gateN = max(s.gateN, m.N())
 	}
@@ -533,24 +598,14 @@ func (s *matroidSearch) run(ground []int) ([]int, float64, bool) {
 		moved := false
 
 		// Ln. 5–7: delete operation.
-		m := len(set)
-		s.delSets, s.delVals = grow(s.delSets, m), grow(s.delVals, m)
-		s.ev.sweep(m, func(i int) {
-			cand := without(set, set[i])
-			s.delSets[i] = cand
-			s.delVals[i] = s.co.Value(cand)
-		})
+		s.x.reset()
+		s.x.drops(set)
+		k, v, next := s.x.best(cur)
 		if s.ev.canceled() {
 			return set, cur, false
 		}
-		bestI, bestVal := -1, cur
-		for i := 0; i < m; i++ {
-			if improves(s.delVals[i], cur, s.eps, denom) && s.delVals[i] > bestVal {
-				bestI, bestVal = i, s.delVals[i]
-			}
-		}
-		if bestI >= 0 {
-			set, cur = s.delSets[bestI], bestVal
+		if k >= 0 && improves(v, cur, s.eps, denom) {
+			set, cur = next, v
 			resetMembers(member, set)
 			eng.invalidate()
 			moved = true
@@ -559,11 +614,11 @@ func (s *matroidSearch) run(ground []int) ([]int, float64, bool) {
 
 		// Ln. 8–10: exchange operation — the best add or swap, if it
 		// clears the gate.
-		x, v := eng.next(set, member, cur)
+		x, v = eng.next(set, member, cur)
 		if s.ev.canceled() {
 			return set, cur, false
 		}
-		d, dv, dset := s.bestSwap(set, member, cands)
+		d, dv, dset := s.bestSwap(set, member, cands, cur)
 		if s.ev.canceled() {
 			return set, cur, false
 		}
@@ -590,13 +645,14 @@ func (s *matroidSearch) run(ground []int) ([]int, float64, bool) {
 	}
 }
 
-// bestSwap returns the best exchange that drops members — the highest
-// value, then the lowest d — as d, its value and its set (set − R) ∪ {d};
-// d is −1 when no element of cands outside the set is blocked and
-// admissible. Swaps sharing a base set − R probe through one add-probe
-// state.
-func (s *matroidSearch) bestSwap(set []int, member *bitset.Set, cands []int) (int, float64, []int) {
-	s.swaps, s.bases = s.swaps[:0], s.bases[:0]
+// bestSwap returns the best exchange that drops members and beats cur —
+// the highest value, then the lowest d — as d, its value and its set
+// (set − R) ∪ {d}; d is −1 when no element of cands outside the set is
+// blocked, admissible and better than cur. The swaps are listed on the
+// exchange sweep in d order, one base per distinct R.
+func (s *matroidSearch) bestSwap(set []int, member *bitset.Set, cands []int, cur float64) (int, float64, []int) {
+	s.x.reset()
+	s.rs = s.rs[:0]
 	for _, d := range cands {
 		if member.Contains(d) {
 			continue
@@ -605,36 +661,18 @@ func (s *matroidSearch) bestSwap(set []int, member *bitset.Set, cands []int) (in
 		if !ok || len(r) == 0 {
 			continue
 		}
-		base := without(set, r...)
-		cand := with(base, d)
-		if !matroid.AllIndependent(s.ms, cand) || !s.co.Feasible(cand) {
-			continue
-		}
-		b := slices.IndexFunc(s.bases, func(sb swapBase) bool { return slices.Equal(sb.r, r) })
+		b := slices.IndexFunc(s.rs, func(br []int) bool { return slices.Equal(br, r) })
 		if b < 0 {
-			b = len(s.bases)
-			s.bases = append(s.bases, swapBase{r: r, probe: beginAdds(s.co, base)})
+			b = s.x.base(without(set, r...))
+			s.rs = append(s.rs, r)
 		}
-		s.swaps = append(s.swaps, swapMove{d: d, base: b, cand: cand})
+		s.x.move(b, d)
 	}
-	s.swapVals = grow(s.swapVals, len(s.swaps))
-	s.ev.sweep(len(s.swaps), func(i int) {
-		w := s.swaps[i]
-		s.swapVals[i] = s.bases[w.base].probe.value(w.cand, w.d)
-	})
-	if s.ev.canceled() {
+	k, v, next := s.x.best(cur)
+	if k < 0 {
 		return -1, 0, nil
 	}
-	best := -1
-	for i := range s.swaps {
-		if best < 0 || s.swapVals[i] > s.swapVals[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		return -1, 0, nil
-	}
-	return s.swaps[best].d, s.swapVals[best], s.swaps[best].cand
+	return s.x.moves[k].add, v, next
 }
 
 // removals returns R, the members an exchange bringing in d drops: each
@@ -673,7 +711,8 @@ func canAddAll(ms []matroid.Matroid, set []int, x int) bool {
 // randomized construction — at each step choose uniformly among the κ
 // candidates with the largest positive marginal profit — followed by
 // add/drop/swap hill climbing; the best round wins. (κ=1, r=1) degenerates
-// to plain hill climbing.
+// to plain hill climbing. Construction reads the add engine's full sweeps
+// and the hill climb runs on the exchange sweep.
 //
 // Randomization is unaffected by the Parallel option: the rng draws happen
 // in the sequential reduction, and the candidate lists it draws from are
@@ -684,12 +723,13 @@ func GRASP(f Oracle, n int, kappa, r int, rng *stats.RNG, opts ...Option) Result
 	restarts := obs.Counter("selection.grasp.restarts")
 	ev := newEvaluator(opts)
 	defer ev.close()
+	eng, x := newAddEngine(co, ev, n), newExchangeSweep(co, ev)
 	best := Result{Value: math.Inf(-1)}
 	for it := 0; it < r; it++ {
 		restarts.Inc()
-		set, cur := graspConstruct(co, n, kappa, rng, ev)
+		set, cur := graspConstruct(eng, kappa, rng)
 		if !ev.canceled() {
-			set, cur = hillClimb(co, n, set, cur, ev)
+			set, cur = hillClimb(x, n, set, cur)
 		}
 		// A canceled round still yields a consistent (set, exact value)
 		// pair — its last completed move — so it may enter the best.
@@ -707,34 +747,23 @@ func GRASP(f Oracle, n int, kappa, r int, rng *stats.RNG, opts ...Option) Result
 	return rt.finish(best.Set, best.Value)
 }
 
-func graspConstruct(co *CountingOracle, n, kappa int, rng *stats.RNG, ev evaluator) ([]int, float64) {
+// graspConstruct is one randomized greedy construction: each step reads
+// the add engine's full sweep — its fresh entries, in index order — and
+// draws from the κ best that improve.
+func graspConstruct(eng *addEngine, kappa int, rng *stats.RNG) ([]int, float64) {
 	var set []int
-	member := bitset.New(n)
-	cur := co.Value(set)
-	vals := make([]float64, n)
-	ok := make([]bool, n)
+	member := bitset.New(eng.n)
+	cur := eng.co.Value(set)
 	var cands []graspCand
 	for {
-		probe := beginAdds(co, set)
-		ev.sweep(n, func(x int) {
-			ok[x] = false
-			if member.Contains(x) {
-				return
-			}
-			s := with(set, x)
-			if !co.Feasible(s) {
-				return
-			}
-			vals[x] = probe.value(s, x)
-			ok[x] = true
-		})
-		if ev.canceled() {
+		eng.sweep(set, member, cur)
+		if eng.ev.canceled() {
 			return set, cur
 		}
 		cands = cands[:0]
-		for x := 0; x < n; x++ {
-			if ok[x] && vals[x] > cur {
-				cands = append(cands, graspCand{x, vals[x]})
+		for _, e := range eng.fresh {
+			if e.val > cur {
+				cands = append(cands, graspCand{int(e.idx), e.val})
 			}
 		}
 		if len(cands) == 0 {
@@ -777,94 +806,34 @@ func rankByValue(cands []graspCand) {
 }
 
 // hillClimb applies best-improvement add, drop and swap moves until a local
-// optimum. Each round enumerates its legal moves in the historical scan
-// order (adds, then drops, then swaps), sweeps their values, and takes the
-// best strict improvement.
-func hillClimb(co *CountingOracle, n int, set []int, cur float64, ev evaluator) ([]int, float64) {
+// optimum. Each round lists its moves on the exchange sweep in the
+// historical scan order — adds, then drops, then swaps — and takes the
+// first best strict improvement. The round sweeps all of them at once:
+// drops are full evaluations, too few to fan out on their own.
+func hillClimb(x *exchangeSweep, n int, set []int, cur float64) ([]int, float64) {
 	movesCtr := obs.Counter("selection.hillclimb.moves")
 	member := members(n, set)
-	// A move drops set[di] (di < 0: pure add) and adds candidate add
-	// (add < 0: pure drop).
-	type mv struct{ di, add int }
-	var (
-		moves      []mv
-		vals       []float64
-		ok         []bool
-		cands      [][]int
-		bases      [][]int
-		dropProbes []addProber
-	)
 	for {
-		moves = moves[:0]
-		for x := 0; x < n; x++ {
-			if !member.Contains(x) {
-				moves = append(moves, mv{-1, x})
+		x.reset()
+		whole := x.base(set)
+		for y := 0; y < n; y++ {
+			if !member.Contains(y) {
+				x.move(whole, y)
 			}
 		}
-		for i := range set {
-			moves = append(moves, mv{i, -1})
-		}
+		first := x.drops(set)
 		for i := range set {
 			for y := 0; y < n; y++ {
 				if !member.Contains(y) {
-					moves = append(moves, mv{i, y})
+					x.move(first+i, y)
 				}
 			}
 		}
-		bases = bases[:0]
-		for i := range set {
-			bases = append(bases, without(set, set[i]))
-		}
-		// Swap moves sharing a dropped element probe additions against that
-		// base's cached state: one state build per base serves every swap
-		// target, turning the |set|·(n−|set|) swap evaluations incremental.
-		dropProbes = dropProbes[:0]
-		for i := range bases {
-			dropProbes = append(dropProbes, beginAdds(co, bases[i]))
-		}
-
-		m := len(moves)
-		vals = grow(vals, m)
-		ok = grow(ok, m)
-		cands = grow(cands, m)
-		probe := beginAdds(co, set)
-		ev.sweep(m, func(k int) {
-			ok[k] = false
-			w := moves[k]
-			var cand []int
-			switch {
-			case w.di < 0: // add
-				cand = with(set, w.add)
-				if !co.Feasible(cand) {
-					return
-				}
-				vals[k] = probe.value(cand, w.add)
-			case w.add < 0: // drop (never feasibility-gated, as sequentially)
-				cand = bases[w.di]
-				vals[k] = co.Value(cand)
-			default: // swap
-				cand = with(bases[w.di], w.add)
-				if !co.Feasible(cand) {
-					return
-				}
-				vals[k] = dropProbes[w.di].value(cand, w.add)
-			}
-			cands[k] = cand
-			ok[k] = true
-		})
-		if ev.canceled() {
+		k, v, next := x.best(cur)
+		if k < 0 {
 			return set, cur
 		}
-		bestK, bestVal := -1, cur
-		for k := 0; k < m; k++ {
-			if ok[k] && vals[k] > bestVal {
-				bestK, bestVal = k, vals[k]
-			}
-		}
-		if bestK < 0 {
-			return set, cur
-		}
-		set, cur = cands[bestK], bestVal
+		set, cur = next, v
 		resetMembers(member, set)
 		movesCtr.Inc()
 	}

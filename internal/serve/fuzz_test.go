@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -55,64 +56,92 @@ func FuzzLoadTenantManifest(f *testing.F) {
 	})
 }
 
-// FuzzHandlers sends arbitrary /v1/select and /v1/quality bodies, to the
-// default tenant or a named one, through the handler of a server over one
-// tiny tenant. Every request must get 200, 400, 404, 413 or 429 — never a
-// 500 or a panic — and the goroutines it started must be gone once it has
-// returned. The seeds include maxsub bodies with divisors, which run the
-// matroid search.
+// FuzzHandlers sends arbitrary /v1/select, /v1/quality and /v1/observe
+// bodies (route 0, 1 and 2, modulo 3), to the default tenant or a named
+// one, through the handler of a server over one tiny tenant. Select and
+// quality go to a server without ingestion, where every request must get
+// 200, 400, 404, 413 or 429. Observe goes to a second server over the same
+// world with ingestion on — epochs in memory, and an epoch interval no run
+// reaches, so accepted batches only buffer — where every request must get
+// 202, 400, 404, 409, 413 or 429. Never a 500 or a panic, and the
+// goroutines a request started must be gone once it has returned. The
+// seeds include maxsub bodies with divisors, which run the matroid search,
+// and observe batches that are valid, of an unknown kind, outside the
+// world and behind the watermark.
 func FuzzHandlers(f *testing.F) {
+	const (
+		selectRoute = iota
+		qualityRoute
+		observeRoute
+	)
 	for _, seed := range []struct {
-		quality bool
-		tenant  string
-		body    string
+		route  uint8
+		tenant string
+		body   string
 	}{
-		{false, "", `{}`},
-		{false, "", `{"algorithm":"maxsub","divisors":[2]}`},
-		{false, "", `{"algorithm":"maxsub","divisors":[2,3],"budget":0.3}`},
-		{false, "", `{"algorithm":"maxsub","divisors":[3,2],"gain":"data","future":3}`},
-		{false, "", `{"algorithm":"maxsub","divisors":[1,4],"metric":"global-freshness","ticks":[31,35]}`},
-		{false, "", `{"algorithm":"maxsub","divisors":[2,5],"gain":"step","metric":"local-freshness"}`},
-		{false, "", `{"algorithm":"greedy","divisors":[2],"gain":"quad","metric":"accuracy"}`},
-		{false, "", `{"algorithm":"grasp","kappa":2,"rounds":3,"seed":7}`},
-		{false, "", `{"algorithm":"budgeted","budget":0.05}`},
-		{false, "", `{"algorithm":"lazygreedy","gain":"step","metric":"local-freshness"}`},
-		{false, "other", `{}`},
-		{true, "", `{"set":[0,1]}`},
-		{true, "", `{"set":[0,5],"divisors":[2],"future":2}`},
-		{true, "", `{"set":[1,1]}`},
-		{true, "", `{"set":[],"ticks":[30]}`},
+		{selectRoute, "", `{}`},
+		{selectRoute, "", `{"algorithm":"maxsub","divisors":[2]}`},
+		{selectRoute, "", `{"algorithm":"maxsub","divisors":[2,3],"budget":0.3}`},
+		{selectRoute, "", `{"algorithm":"maxsub","divisors":[3,2],"gain":"data","future":3}`},
+		{selectRoute, "", `{"algorithm":"maxsub","divisors":[1,4],"metric":"global-freshness","ticks":[31,35]}`},
+		{selectRoute, "", `{"algorithm":"maxsub","divisors":[2,5],"gain":"step","metric":"local-freshness"}`},
+		{selectRoute, "", `{"algorithm":"greedy","divisors":[2],"gain":"quad","metric":"accuracy"}`},
+		{selectRoute, "", `{"algorithm":"grasp","kappa":2,"rounds":3,"seed":7}`},
+		{selectRoute, "", `{"algorithm":"budgeted","budget":0.05}`},
+		{selectRoute, "", `{"algorithm":"lazygreedy","gain":"step","metric":"local-freshness"}`},
+		{selectRoute, "other", `{}`},
+		{qualityRoute, "", `{"set":[0,1]}`},
+		{qualityRoute, "", `{"set":[0,5],"divisors":[2],"future":2}`},
+		{qualityRoute, "", `{"set":[1,1]}`},
+		{qualityRoute, "", `{"set":[],"ticks":[30]}`},
+		{observeRoute, "", `{"observations":[{"source":0,"entity":3,"kind":"appear","at":33},{"source":1,"entity":3,"kind":"update","at":34,"version":1}]}`},
+		{observeRoute, "", `{"observations":[{"source":0,"entity":3,"kind":"mutate","at":33}]}`},
+		{observeRoute, "", `{"observations":[{"source":2,"entity":-5,"kind":"disappear","at":99}]}`},
+		{observeRoute, "", `{"observations":[{"source":0,"entity":3,"kind":"appear","at":28}]}`},
+		{observeRoute, "other", `{"observations":[{"source":0,"entity":3,"kind":"appear","at":33}]}`},
 	} {
-		f.Add(seed.quality, seed.tenant, []byte(seed.body))
+		f.Add(seed.route, seed.tenant, []byte(seed.body))
 	}
-	cfg := dataset.DefaultBLConfig()
-	cfg.Locations, cfg.Categories, cfg.NumSources = 3, 2, 8
-	cfg.Horizon, cfg.T0, cfg.Scale = 40, 28, 1
-	d, err := dataset.GenerateBL(cfg)
-	if err != nil {
-		f.Fatal(err)
+	world := func() *dataset.Dataset {
+		cfg := dataset.DefaultBLConfig()
+		cfg.Locations, cfg.Categories, cfg.NumSources = 3, 2, 8
+		cfg.Horizon, cfg.T0, cfg.Scale = 40, 28, 1
+		d, err := dataset.GenerateBL(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return d
 	}
-	srv, err := New(d, Config{MaxBodyBytes: 4 << 10})
+	srv, err := New(world(), Config{MaxBodyBytes: 4 << 10})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(srv.Close)
-	h := srv.Handler()
-	f.Fuzz(func(t *testing.T, quality bool, tenant string, body []byte) {
+	ing, err := New(world(), Config{MaxBodyBytes: 4 << 10, IngestEpoch: 24 * time.Hour})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(ing.Close)
+	h, ingH := srv.Handler(), ing.Handler()
+	f.Fuzz(func(t *testing.T, route uint8, tenant string, body []byte) {
 		base := runtime.NumGoroutine()
-		path := "/v1/select"
-		if quality {
+		handler, path := h, "/v1/select"
+		codes := []int{http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
+			http.StatusRequestEntityTooLarge, http.StatusTooManyRequests}
+		switch route % 3 {
+		case qualityRoute:
 			path = "/v1/quality"
+		case observeRoute:
+			handler, path = ingH, "/v1/observe"
+			codes = []int{http.StatusAccepted, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict,
+				http.StatusRequestEntityTooLarge, http.StatusTooManyRequests}
 		}
 		if tenant != "" {
 			path += "?" + url.Values{"tenant": {tenant}}.Encode()
 		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		switch rec.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
-			http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
-		default:
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if !slices.Contains(codes, rec.Code) {
 			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body.Bytes())
 		}
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
